@@ -26,19 +26,19 @@ use std::sync::{Mutex, PoisonError};
 
 /// Executes (strategy × workload) batches on a worker pool.
 ///
-/// The default executor sizes its pool to the machine divided by the
-/// batch's maximum [`internal_parallelism`] — a scheduler-backed cell
-/// fans its regions across its own workers, so running one cell per
-/// core would oversubscribe the host. [`with_threads`] bounds the pool
-/// explicitly (1 = serial reference execution, used by the determinism
-/// tests), and [`with_region_workers`] composes **region parallelism
-/// under the cell fan-out**: every cell runs its plan's region units on
-/// `n` workers via [`SamplingStrategy::run_with_workers`], and the cell
-/// pool shrinks by the same factor so `cells × region workers` never
-/// exceeds the budget. Both knobs are pure scheduling — results are
-/// byte-identical whatever the composition.
+/// The default executor runs one cell per core. Cells and the region
+/// workers inside them share the rayon shim's process-wide
+/// [`budget`](rayon::budget) of helper threads: a cell that fans its
+/// regions out gets only the helpers idle at that moment, and none
+/// while every core already runs a cell, so nesting never
+/// oversubscribes the host; a nested call that starts after other cells
+/// finish gets the cores they freed. [`with_threads`] bounds the cell
+/// pool explicitly (1 = serial reference execution, used by the
+/// determinism tests), and [`with_region_workers`] overrides every
+/// cell's region-worker count via
+/// [`SamplingStrategy::run_with_workers`]. Both knobs are pure
+/// scheduling — results are byte-identical whatever the composition.
 ///
-/// [`internal_parallelism`]: SamplingStrategy::internal_parallelism
 /// [`with_threads`]: BatchExecutor::with_threads
 /// [`with_region_workers`]: BatchExecutor::with_region_workers
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,9 +61,10 @@ impl BatchExecutor {
         }
     }
 
-    /// Run every cell's region units on `workers` region-scheduler
-    /// workers (overriding each strategy's own configuration); the cell
-    /// pool divides by the same factor to avoid oversubscription.
+    /// Run every cell's region units on up to `workers` region-scheduler
+    /// workers, overriding each strategy's own configuration. The cell
+    /// pool keeps its size; region workers come out of the shared
+    /// budget.
     pub fn with_region_workers(mut self, workers: usize) -> Self {
         self.region_workers = Some(workers.max(1));
         self
@@ -211,32 +212,31 @@ impl BatchExecutor {
         let executed_cells = pending.len();
         let region_workers = self.region_workers;
         let journal_faults = AtomicUsize::new(0);
-        let executed: Vec<(u32, Result<StrategyReport, UnitFailure>)> =
-            self.pool_for(&jobs).install(|| {
-                pending
-                    .par_iter()
-                    .map(|&(cell, strategy, workload)| {
-                        let result = fault::run_unit_guarded(cell, policy, || {
-                            fault::hit(FaultSite::UnitEntry, u64::from(cell));
-                            match region_workers {
-                                Some(n) => strategy.run_with_workers(workload, plan, n),
-                                None => strategy.run(workload, plan),
-                            }
-                        });
-                        if let (Some(writer), Ok(report)) = (writer.as_ref(), result.as_ref()) {
-                            // A failed append must never unwind through
-                            // the run it records: the cell's result
-                            // stays in memory, it is just not durable.
-                            let payload = encode_cell(cell, &report.report);
-                            let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                            if w.append(CELL_ENTRY_KIND, &payload).is_err() {
-                                journal_faults.fetch_add(1, Ordering::Relaxed);
-                            }
+        let executed: Vec<(u32, Result<StrategyReport, UnitFailure>)> = self.pool().install(|| {
+            pending
+                .par_iter()
+                .map(|&(cell, strategy, workload)| {
+                    let result = fault::run_unit_guarded(cell, policy, || {
+                        fault::hit(FaultSite::UnitEntry, u64::from(cell));
+                        match region_workers {
+                            Some(n) => strategy.run_with_workers(workload, plan, n),
+                            None => strategy.run(workload, plan),
                         }
-                        (cell, result)
-                    })
-                    .collect()
-            });
+                    });
+                    if let (Some(writer), Ok(report)) = (writer.as_ref(), result.as_ref()) {
+                        // A failed append must never unwind through
+                        // the run it records: the cell's result
+                        // stays in memory, it is just not durable.
+                        let payload = encode_cell(cell, &report.report);
+                        let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+                        if w.append(CELL_ENTRY_KIND, &payload).is_err() {
+                            journal_faults.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    (cell, result)
+                })
+                .collect()
+        });
 
         // Assemble in cell order: journaled cells verbatim (no extras),
         // executed cells with their extras, quarantined cells as None.
@@ -272,7 +272,7 @@ impl BatchExecutor {
         plan: &RegionPlan,
     ) -> Vec<StrategyReport> {
         let region_workers = self.region_workers;
-        self.pool_for(&jobs).install(|| {
+        self.pool().install(|| {
             jobs.par_iter()
                 .map(|&(strategy, workload)| match region_workers {
                     Some(n) => strategy.run_with_workers(workload, plan, n),
@@ -282,21 +282,10 @@ impl BatchExecutor {
         })
     }
 
-    /// The worker pool for a cell list, leaving room for each cell's own
-    /// threads (its region-scheduler workers, or whatever nested
-    /// parallelism it reports).
-    fn pool_for<W: Workload>(&self, jobs: &[(&dyn SamplingStrategy, &W)]) -> rayon::ThreadPool {
-        let workers = self.threads.unwrap_or_else(|| {
-            let nested = self.region_workers.unwrap_or_else(|| {
-                jobs.iter()
-                    .map(|&(s, _)| s.internal_parallelism())
-                    .max()
-                    .unwrap_or(1)
-            });
-            (rayon::current_num_threads() / nested).max(1)
-        });
+    /// The cell pool: `with_threads`' bound, else the host (`0`).
+    fn pool(&self) -> rayon::ThreadPool {
         ThreadPoolBuilder::new()
-            .num_threads(workers)
+            .num_threads(self.threads.unwrap_or(0))
             .build()
             .expect("worker pool")
     }
@@ -524,5 +513,92 @@ mod tests {
                 assert_eq!(cell.strategy, s.name());
             }
         }
+    }
+
+    /// Counts probe bodies in flight across every thread of a run and
+    /// keeps the high-water mark.
+    #[derive(Default)]
+    struct InFlight {
+        now: AtomicUsize,
+        high: AtomicUsize,
+    }
+
+    impl InFlight {
+        fn leaf(&self) -> u64 {
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.high.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(300));
+            self.now.fetch_sub(1, Ordering::SeqCst);
+            1
+        }
+    }
+
+    /// A strategy whose cell first runs every nested parallel shape —
+    /// scheduler units, seeded and speculative lanes at 4 workers each,
+    /// and a `par_iter` inside a `par_iter` — then the wrapped one.
+    struct NestedProbe {
+        inner: Box<dyn SamplingStrategy>,
+        in_flight: std::sync::Arc<InFlight>,
+    }
+
+    impl SamplingStrategy for NestedProbe {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
+            let probe = &*self.in_flight;
+            let regions = &plan.regions;
+            let sched = delorean_sampling::RegionScheduler::new(4);
+            let units = sched.run_units(regions, |_, _| probe.leaf());
+            let seeded = sched.run_seeded(regions, |_, _| probe.leaf(), |_, _, s| s + probe.leaf());
+            let spec =
+                sched.run_speculative(regions, |_, _| probe.leaf(), |_, _, s| s + probe.leaf());
+            let nested: Vec<u64> = regions
+                .par_iter()
+                .map(|_| {
+                    let leaves: Vec<u64> = regions.par_iter().map(|_| probe.leaf()).collect();
+                    leaves.iter().sum()
+                })
+                .collect();
+            let n = regions.len() as u64;
+            assert_eq!(units.iter().sum::<u64>(), n);
+            assert_eq!(seeded.iter().sum::<u64>(), 2 * n);
+            assert_eq!(spec.iter().sum::<u64>(), 2 * n);
+            assert_eq!(nested.iter().sum::<u64>(), n * n);
+            self.inner.run(workload, plan)
+        }
+    }
+
+    #[test]
+    fn nested_parallelism_never_oversubscribes_the_host() {
+        let opts = ExpOptions {
+            regions: Some(6),
+            ..ExpOptions::tiny()
+        };
+        let plan = plan_for(&opts);
+        let machine = MachineConfig::for_scale(opts.scale);
+        let in_flight = std::sync::Arc::new(InFlight::default());
+        let strategies: Vec<Box<dyn SamplingStrategy>> = headline_strategies(opts.scale, machine)
+            .into_iter()
+            .map(|inner| {
+                Box::new(NestedProbe {
+                    inner,
+                    in_flight: in_flight.clone(),
+                }) as Box<dyn SamplingStrategy>
+            })
+            .collect();
+        let workloads: Vec<_> = spec2006(opts.scale, opts.seed)
+            .into_iter()
+            .take(2)
+            .collect();
+        let matrix = BatchExecutor::new().run_matrix(&strategies, &workloads, &plan);
+        assert_eq!(matrix.len(), 2);
+        let host = rayon::current_num_threads();
+        let high = in_flight.high.load(Ordering::SeqCst);
+        assert!(
+            (1..=host).contains(&high),
+            "{high} probe bodies in flight on a {host}-thread host"
+        );
     }
 }

@@ -58,8 +58,14 @@ pub struct Cache {
     set_mask: u64,
     /// Tag array, `sets × ways`, row-major; `EMPTY` marks invalid ways.
     tags: Vec<u64>,
-    /// Per-way metadata: LRU/FIFO stamps (monotone ticks).
-    stamps: Vec<u64>,
+    /// Per-way metadata: LRU/FIFO stamps (monotone ticks, stored as
+    /// offsets from `stamp_base` to halve the array) or SRRIP RRPVs.
+    stamps: Vec<u32>,
+    /// The tick a stored stamp of 0 stands for.
+    stamp_base: u64,
+    /// Largest `tick − stamp_base` a stamp may hold before
+    /// [`rebase_stamps`](Cache::rebase_stamps) re-anchors them.
+    stamp_limit: u64,
     /// Per-set tree-PLRU bits (also reused as MRU pointer for NMRU).
     set_bits: Vec<u32>,
     tick: u64,
@@ -85,6 +91,8 @@ impl Cache {
             set_mask: sets - 1,
             tags: vec![EMPTY; n],
             stamps: vec![0; n],
+            stamp_base: 0,
+            stamp_limit: u64::from(u32::MAX),
             set_bits: vec![0; cast::idx(sets)],
             tick: 0,
             rng: 0x5eed_c0de,
@@ -254,7 +262,7 @@ impl Cache {
     /// Access `line`, updating replacement state and filling on a miss.
     #[inline]
     pub fn access(&mut self, line: LineAddr) -> AccessResult {
-        self.tick += 1;
+        self.advance_tick();
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -274,7 +282,7 @@ impl Cache {
     /// deferred behind an MSHR.
     #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
+        self.advance_tick();
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -291,7 +299,7 @@ impl Cache {
     /// transplant). Returns the evicted victim, if any. No-op if present.
     #[inline]
     pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
-        self.tick += 1;
+        self.advance_tick();
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -300,6 +308,62 @@ impl Cache {
             return None;
         }
         self.fill_into(set, row, empty, line)
+    }
+
+    /// Count one access tick, re-anchoring the stamps first if the new
+    /// tick would not fit a stored stamp.
+    #[inline]
+    fn advance_tick(&mut self) {
+        self.tick += 1;
+        if self.tick - self.stamp_base > self.stamp_limit {
+            self.rebase_stamps();
+        }
+    }
+
+    /// The current tick as a stored stamp.
+    #[inline]
+    fn stamp_now(&self) -> u32 {
+        cast::u32_exact(self.tick - self.stamp_base)
+    }
+
+    /// Re-anchor the stamps so the current tick fits a stored stamp
+    /// again (once every ~4 G ticks).
+    ///
+    /// Only LRU and FIFO compare stamps, and only among the valid ways of
+    /// one set (a victim is picked from a full set), so replacing each
+    /// set's valid stamps by their ranks keeps every later victim choice,
+    /// and the digest's rank order, exactly as it was. SRRIP stamps are
+    /// RRPVs, not ticks, and the other policies never read stamps; for
+    /// them only the anchor moves.
+    #[cold]
+    fn rebase_stamps(&mut self) {
+        let ways = self.cfg.ways as usize;
+        if !matches!(
+            self.cfg.replacement,
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+        ) {
+            self.stamp_base = self.tick;
+            return;
+        }
+        let mut valid: Vec<usize> = Vec::with_capacity(ways);
+        for row in (0..self.tags.len()).step_by(ways) {
+            valid.clear();
+            valid.extend((0..ways).filter(|&w| self.tags[row + w] != EMPTY));
+            valid.sort_unstable_by_key(|&w| self.stamps[row + w]);
+            for (rank, &w) in valid.iter().enumerate() {
+                self.stamps[row + w] = cast::u32_exact(rank as u64);
+            }
+        }
+        // Ranks are below `ways`; the current tick becomes `ways`.
+        self.stamp_base = self.tick - ways as u64;
+    }
+
+    /// Rebase the stamps whenever a stamp would exceed `limit` instead
+    /// of once every ~4 G ticks, so tests can reach the rebase path.
+    #[cfg(test)]
+    fn with_stamp_limit(mut self, limit: u64) -> Self {
+        self.stamp_limit = limit;
+        self
     }
 
     /// Remove `line` if present; returns whether it was.
@@ -330,6 +394,7 @@ impl Cache {
         CacheSnapshot {
             tags: self.tags.clone(),
             stamps: self.stamps.clone(),
+            stamp_base: self.stamp_base,
             set_bits: self.set_bits.clone(),
             tick: self.tick,
             valid_lines: self.valid_lines,
@@ -350,6 +415,7 @@ impl Cache {
         );
         self.tags.clone_from(&snapshot.tags);
         self.stamps.clone_from(&snapshot.stamps);
+        self.stamp_base = snapshot.stamp_base;
         self.set_bits.clone_from(&snapshot.set_bits);
         self.tick = snapshot.tick;
         self.valid_lines = snapshot.valid_lines;
@@ -368,6 +434,8 @@ impl Cache {
         self.cfg = other.cfg;
         self.tags.clone_from(&other.tags);
         self.stamps.clone_from(&other.stamps);
+        self.stamp_base = other.stamp_base;
+        self.stamp_limit = other.stamp_limit;
         self.set_bits.clone_from(&other.set_bits);
         self.tick = other.tick;
         self.rng = other.rng;
@@ -408,7 +476,7 @@ impl Cache {
         d = mix64(d, replacement_code(self.cfg.replacement));
         // Scratch for the per-set rank sort (LRU/FIFO only); hoisted out
         // of the set loop so the digest allocates at most once.
-        let mut by_rank: Vec<(u64, u64)> = Vec::with_capacity(ways);
+        let mut by_rank: Vec<(u32, u64)> = Vec::with_capacity(ways);
         for set in 0..self.sets {
             let row = self.row(set);
             match self.cfg.replacement {
@@ -420,9 +488,10 @@ impl Cache {
                             by_rank.push((self.stamps[row + w], tag));
                         }
                     }
-                    // Valid stamps are distinct within a cache (each
-                    // write consumes a fresh tick), so this order is
-                    // total and the sort is a pure rank canonicalization.
+                    // Valid stamps are distinct within a set (each write
+                    // consumes a fresh tick, and a rebase keeps ranks),
+                    // so this order is total and the sort is a pure rank
+                    // canonicalization.
                     by_rank.sort_unstable();
                     d = mix64(d, by_rank.len() as u64);
                     for &(_, tag) in &by_rank {
@@ -434,7 +503,7 @@ impl Cache {
                         let tag = self.tags[row + w];
                         d = mix64(d, tag);
                         if tag != EMPTY {
-                            d = mix64(d, self.stamps[row + w]);
+                            d = mix64(d, u64::from(self.stamps[row + w]));
                         }
                     }
                 }
@@ -473,7 +542,7 @@ impl Cache {
     #[inline]
     fn touch(&mut self, set: u64, row: usize, w: usize) {
         match self.cfg.replacement {
-            ReplacementPolicy::Lru => self.stamps[row + w] = self.tick,
+            ReplacementPolicy::Lru => self.stamps[row + w] = self.stamp_now(),
             ReplacementPolicy::Fifo => {} // insertion order only
             ReplacementPolicy::Random => {}
             ReplacementPolicy::PLru => self.plru_touch(set, w),
@@ -555,7 +624,7 @@ impl Cache {
             Some(LineAddr(old))
         };
         self.tags[row + w] = line.0;
-        self.stamps[row + w] = self.tick;
+        self.stamps[row + w] = self.stamp_now();
         match self.cfg.replacement {
             ReplacementPolicy::PLru => self.plru_touch(set, w),
             ReplacementPolicy::Nmru => self.set_bits[cast::idx(set)] = cast::u32_exact(w as u64),
@@ -618,7 +687,8 @@ impl Cache {
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheSnapshot {
     tags: Vec<u64>,
-    stamps: Vec<u64>,
+    stamps: Vec<u32>,
+    stamp_base: u64,
     set_bits: Vec<u32>,
     tick: u64,
     valid_lines: u64,
@@ -989,5 +1059,45 @@ mod tests {
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn stamp_rebasing_never_changes_behavior() {
+        // A cache that rebases every few dozen ticks must make the same
+        // hit, miss and victim decisions, and reach the same live state,
+        // as one that never rebases.
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+            ReplacementPolicy::PLru,
+            ReplacementPolicy::Nmru,
+            ReplacementPolicy::Srrip,
+        ] {
+            for ways in [2u32, 8] {
+                let mut wide = tiny(ways, policy);
+                let mut narrow = tiny(ways, policy).with_stamp_limit(u64::from(ways) * 3);
+                for i in 0..20_000u64 {
+                    let r = delorean_trace::mix64(u64::from(ways), i);
+                    let line = LineAddr(r % (16 * u64::from(ways)));
+                    match (r >> 32) % 8 {
+                        0 => assert_eq!(wide.lookup(line), narrow.lookup(line)),
+                        1 => assert_eq!(wide.fill(line), narrow.fill(line)),
+                        2 => assert_eq!(wide.invalidate(line), narrow.invalidate(line)),
+                        _ => assert_eq!(wide.access(line), narrow.access(line)),
+                    }
+                    if i % 997 == 0 {
+                        assert_eq!(
+                            wide.state_digest(7),
+                            narrow.state_digest(7),
+                            "{policy:?} ways={ways} step {i}"
+                        );
+                    }
+                }
+                assert_eq!(wide.stats(), narrow.stats(), "{policy:?} ways={ways}");
+                assert_eq!(wide.state_digest(7), narrow.state_digest(7));
+                assert!(narrow.stamp_base > 0, "the narrow cache rebased");
+            }
+        }
     }
 }

@@ -197,12 +197,13 @@ impl DeLoreanRunner {
         // lint:allow(no-unwrap): documented # Panics contract — the runner refuses to start on an invalid config
         config.validate().expect("invalid DeLorean config");
         // DeLorean has always run multi-threaded by default (the TT pass
-        // pipeline before PR 5 used one thread per pass); the region
-        // scheduler keeps that default with the same thread footprint —
-        // explorers + Scout + Analyst — capped by the host. Safe because
-        // worker count never changes results, and bounded so batch
-        // executors dividing their pools by `internal_parallelism` keep
-        // running cells in parallel.
+        // pipeline used one thread per pass); the region scheduler keeps
+        // that default with the same thread footprint — explorers +
+        // Scout + Analyst — capped by the host. Safe because worker count
+        // never changes results. It is only an upper bound: the extra
+        // threads come from the rayon shim's process-wide budget, so a
+        // run inside a busy batch executor takes what is idle and cannot
+        // oversubscribe the host.
         let workers = RegionScheduler::host()
             .workers()
             .min(config.explorer_windows_instrs.len() + 2);

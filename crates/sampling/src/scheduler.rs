@@ -6,8 +6,8 @@
 //! addressable) execution and the region plan, so regions can be
 //! evaluated in any order — and therefore in parallel. [`RegionScheduler`]
 //! is the runtime for that observation: it partitions a strategy's
-//! sampling plan into per-region **units**, fans the units out across a
-//! rayon worker pool, and hands the results back **in plan order** so the
+//! sampling plan into per-region **units**, fans the units out across
+//! rayon workers, and hands the results back **in plan order** so the
 //! strategy's reduction (and hence its [`StrategyReport`]) is
 //! byte-identical for every worker count.
 //!
@@ -31,6 +31,15 @@
 //!   channel shim, mirroring the paper's OS-pipe pass pipeline at region
 //!   granularity.
 //!
+//! A scheduler's worker count is an *upper bound*. Every extra thread
+//! is a helper token leased from the rayon shim's process-wide
+//! [`budget`](rayon::budget), the same budget nested `par_iter` calls
+//! draw on, and the calling thread always works too: it runs the seed
+//! lane or the reconciler itself. A scheduler started while the host is
+//! already busy (inside a batch-executor cell, say) gets no tokens and
+//! takes the sequential interleave path, so nesting never
+//! oversubscribes the host.
+//!
 //! Determinism contract: unit bodies must be pure functions of
 //! `(unit index, region, seed)`. The scheduler never lets the worker
 //! count influence what a unit computes — only *when* it computes it —
@@ -41,10 +50,10 @@
 //! [`StrategyReport`]: crate::StrategyReport
 
 use crate::config::Region;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Sender};
 use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure, UnitFault};
 use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use rayon::{budget, ThreadPoolBuilder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -92,13 +101,13 @@ fn split_results<R>(results: Vec<Result<R, UnitFailure>>) -> (Vec<Option<R>>, Ve
     (out, failures)
 }
 
-/// Fans a region plan's independent units out across a worker pool and
+/// Fans a region plan's independent units out across workers and
 /// collects results in plan order.
 ///
-/// The worker count is fixed at construction — results never depend on
-/// it, so harness code is free to pick any bound (the batch executor
-/// divides the machine between strategy×workload cells and region
-/// workers to avoid oversubscription).
+/// The worker count is fixed at construction and bounds how many
+/// threads one call may use; how many it gets depends on the
+/// process-wide budget's idle tokens at the time. Results never depend
+/// on either, so harness code is free to pick any bound.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RegionScheduler {
     workers: usize,
@@ -118,13 +127,11 @@ impl RegionScheduler {
         Self::new(1)
     }
 
-    /// A scheduler sized to the host's available parallelism.
+    /// A scheduler sized to the host's available parallelism (the
+    /// installed pool's size when called inside
+    /// [`ThreadPool::install`](rayon::ThreadPool::install)).
     pub fn host() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Self::new(rayon::current_num_threads())
     }
 
     /// This scheduler's worker count.
@@ -143,23 +150,16 @@ impl RegionScheduler {
         regions: &[Region],
         unit: impl Fn(u32, &Region) -> R + Sync,
     ) -> Vec<R> {
-        if self.workers <= 1 || regions.len() <= 1 {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| unit(i as u32, r))
-                .collect();
-        }
+        // The shim's `collect` runs inline when it leases no helper.
         let jobs: Vec<(u32, &Region)> = regions
             .iter()
             .enumerate()
             .map(|(i, r)| (i as u32, r))
             .collect();
         // Building a pool per call is free with the offline rayon shim
-        // (its ThreadPool holds no threads — it only records the worker
-        // count that scoped parallel operations spawn). If the shim is
-        // swapped for the registry rayon, hoist the pool into the
-        // scheduler to avoid per-call thread churn.
+        // (its ThreadPool holds no threads — it only records the width
+        // bound). If the shim is swapped for the registry rayon, hoist
+        // the pool into the scheduler to avoid per-call thread churn.
         ThreadPoolBuilder::new()
             .num_threads(self.workers)
             .build()
@@ -168,25 +168,37 @@ impl RegionScheduler {
             .install(|| jobs.par_iter().map(|&(i, r)| unit(i, r)).collect())
     }
 
+    /// Helper tokens for a lane-plus-helpers call over `n` units: up to
+    /// `workers − 1` (one per unit at most), none for a sequential
+    /// scheduler or a single unit, and only as many as are idle.
+    fn lease_helpers(&self, n: usize) -> Vec<budget::Helper> {
+        if self.workers <= 1 || n <= 1 {
+            return Vec::new();
+        }
+        budget::lease((self.workers - 1).min(n))
+    }
+
     /// Evaluate units whose seeds come off a sequential carried-state
     /// lane: `seed` runs in plan order (it may fold mutable state across
     /// calls — the cumulative warm hierarchy), `body` runs on any worker
     /// once its unit's seed exists. Results come back in plan order.
     ///
-    /// With more than one worker, the seed lane runs on a dedicated
-    /// producer thread and bodies drain from a bounded channel on the
-    /// remaining workers, so seed production overlaps body evaluation —
-    /// the region-granular analogue of the paper's pass pipeline. With
-    /// one worker the two interleave exactly like the classic sequential
+    /// When it leases helpers, the calling thread runs the seed lane and
+    /// bodies drain from a bounded channel on the helpers, so seed
+    /// production overlaps body evaluation — the region-granular
+    /// analogue of the paper's pass pipeline; once the lane is done the
+    /// calling thread drains bodies too. With one worker, or no idle
+    /// helper, the two interleave exactly like the classic sequential
     /// driver: seed(0), body(0), seed(1), body(1), …
     pub fn run_seeded<S: Send, R: Send>(
         &self,
         regions: &[Region],
-        mut seed: impl FnMut(u32, &Region) -> S + Send,
+        mut seed: impl FnMut(u32, &Region) -> S,
         body: impl Fn(u32, &Region, S) -> R + Sync,
     ) -> Vec<R> {
         let n = regions.len();
-        if self.workers <= 1 || n <= 1 {
+        let helpers = self.lease_helpers(n);
+        if helpers.is_empty() {
             return regions
                 .iter()
                 .enumerate()
@@ -196,41 +208,39 @@ impl RegionScheduler {
                 })
                 .collect();
         }
-        let consumers = (self.workers - 1).min(n);
-        // The seed channel's bound is the pipeline depth: the producer
-        // lane may run at most one seed per consumer ahead of the
-        // slowest body, modeling a finite pipe buffer.
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(consumers.max(2));
+        // The seed channel's bound is the pipeline depth: the seed lane
+        // may run at most one seed per helper ahead of the slowest body,
+        // modeling a finite pipe buffer.
+        let (seed_tx, seed_rx) = bounded::<(u32, S)>(helpers.len().max(2));
         let (done_tx, done_rx) = bounded::<(u32, R)>(n);
         let seed_rx = Mutex::new(seed_rx);
-        let body = &body;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for (i, r) in regions.iter().enumerate() {
-                    let s = seed(i as u32, r);
-                    if seed_tx.send((i as u32, s)).is_err() {
-                        return; // consumers gone (a body panicked)
+        let consume = |done_tx: Sender<(u32, R)>| loop {
+            // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
+            let msg = seed_rx.lock().expect("seed channel lock").recv();
+            match msg {
+                Ok((i, s)) => {
+                    let out = body(i, &regions[i as usize], s);
+                    if done_tx.send((i, out)).is_err() {
+                        return;
                     }
                 }
-            });
-            for _ in 0..consumers {
-                let done_tx = done_tx.clone();
-                let seed_rx = &seed_rx;
-                scope.spawn(move || loop {
-                    // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-                    let msg = seed_rx.lock().expect("seed channel lock").recv();
-                    match msg {
-                        Ok((i, s)) => {
-                            let out = body(i, &regions[i as usize], s);
-                            if done_tx.send((i, out)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return, // producer done, channel drained
-                    }
-                });
+                Err(_) => return, // seed lane done, channel drained
             }
-            drop(done_tx);
+        };
+        let consume = &consume;
+        std::thread::scope(|scope| {
+            for helper in helpers {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || helper.run(|| consume(done_tx)));
+            }
+            for (i, r) in regions.iter().enumerate() {
+                let s = seed(i as u32, r);
+                if seed_tx.send((i as u32, s)).is_err() {
+                    break; // consumers gone (a body panicked)
+                }
+            }
+            drop(seed_tx);
+            consume(done_tx);
             let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
             for (i, out) in done_rx.iter() {
                 slots[i as usize] = Some(out);
@@ -256,15 +266,16 @@ impl RegionScheduler {
     /// Evaluate **speculative** units: `spec` bodies are fully
     /// independent (each builds its own proxy state — no chain
     /// dependency, which is the entire point of the speculative warm
-    /// lane) and fan out across `workers − 1` workers immediately, while
-    /// `reconcile` runs on the calling thread **in plan order**, folding
-    /// the sequential carried state and deciding commit vs re-measure
-    /// for each unit as its speculation arrives.
+    /// lane) and fan out immediately across the helpers leased for
+    /// `workers − 1`, while `reconcile` runs on the calling thread **in
+    /// plan order**, folding the sequential carried state and deciding
+    /// commit vs re-measure for each unit as its speculation arrives.
     ///
     /// Out-of-order speculation results are buffered until the
     /// reconciler catches up, so `reconcile(i, …)` always observes units
     /// `0..i` already reconciled — exactly the sequential fold. With one
-    /// worker the two interleave: spec(0), reconcile(0), spec(1), …
+    /// worker, or no idle helper, the two interleave: spec(0),
+    /// reconcile(0), spec(1), …
     ///
     /// Determinism contract: `spec` must be a pure function of
     /// `(index, region)`, and `reconcile` must not depend on *when* a
@@ -274,10 +285,11 @@ impl RegionScheduler {
         &self,
         regions: &[Region],
         spec: impl Fn(u32, &Region) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, S) -> R + Send,
+        mut reconcile: impl FnMut(u32, &Region, S) -> R,
     ) -> Vec<R> {
         let n = regions.len();
-        if self.workers <= 1 || n <= 1 {
+        let helpers = self.lease_helpers(n);
+        if helpers.is_empty() {
             return regions
                 .iter()
                 .enumerate()
@@ -287,23 +299,24 @@ impl RegionScheduler {
                 })
                 .collect();
         }
-        let pool = (self.workers - 1).min(n);
         let next = AtomicUsize::new(0);
         let (done_tx, done_rx) = bounded::<(u32, S)>(n);
         let spec = &spec;
         let next = &next;
         std::thread::scope(|scope| {
-            for _ in 0..pool {
+            for helper in helpers {
                 let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    let s = spec(i as u32, &regions[i]);
-                    if done_tx.send((i as u32, s)).is_err() {
-                        return; // reconciler gone (a sibling panicked)
-                    }
+                scope.spawn(move || {
+                    helper.run(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return;
+                        }
+                        let s = spec(i as u32, &regions[i]);
+                        if done_tx.send((i as u32, s)).is_err() {
+                            return; // reconciler gone (a sibling panicked)
+                        }
+                    })
                 });
             }
             drop(done_tx);
@@ -354,26 +367,7 @@ impl RegionScheduler {
                 unit(i, r)
             })
         };
-        let results: Vec<Result<R, UnitFailure>> = if self.workers <= 1 || regions.len() <= 1 {
-            regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| guarded(i as u32, r))
-                .collect()
-        } else {
-            let jobs: Vec<(u32, &Region)> = regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r))
-                .collect();
-            ThreadPoolBuilder::new()
-                .num_threads(self.workers)
-                .build()
-                // lint:allow(no-unwrap): the offline rayon shim's pool build is infallible; with registry rayon a failure here is unrecoverable
-                .expect("region worker pool")
-                .install(|| jobs.par_iter().map(|&(i, r)| guarded(i, r)).collect())
-        };
-        split_results(results)
+        split_results(self.run_units(regions, guarded))
     }
 
     /// [`run_seeded`](Self::run_seeded) with **panic isolation**.
@@ -398,7 +392,7 @@ impl RegionScheduler {
         &self,
         regions: &[Region],
         policy: &FaultPolicy,
-        mut seed: impl FnMut(u32, &Region) -> S + Send,
+        mut seed: impl FnMut(u32, &Region) -> S,
         body: impl Fn(u32, &Region, S) -> R + Sync,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
         let n = regions.len();
@@ -409,7 +403,8 @@ impl RegionScheduler {
                 body(i, r, s.clone())
             })
         };
-        if self.workers <= 1 || n <= 1 {
+        let helpers = self.lease_helpers(n);
+        if helpers.is_empty() {
             let mut out = Vec::with_capacity(n);
             let mut failures = Vec::new();
             let mut poisoned: Option<u32> = None;
@@ -441,52 +436,53 @@ impl RegionScheduler {
             }
             return (out, failures);
         }
-        let consumers = (self.workers - 1).min(n);
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(consumers.max(2));
+        let (seed_tx, seed_rx) = bounded::<(u32, S)>(helpers.len().max(2));
         let (done_tx, done_rx) = bounded::<(u32, Result<R, UnitFailure>)>(n);
         let seed_rx = Mutex::new(seed_rx);
-        let guarded_body = &guarded_body;
-        std::thread::scope(|scope| {
-            let producer = scope.spawn(move || -> Option<(u32, UnitFailure)> {
-                for (i, r) in regions.iter().enumerate() {
-                    let iu = i as u32;
-                    match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
-                        Ok(s) => {
-                            if seed_tx.send((iu, s)).is_err() {
-                                return None; // consumers gone
-                            }
-                        }
-                        // The chain cannot continue past a dead seed.
-                        Err(f) => return Some((iu, f)),
+        let consume = |done_tx: Sender<(u32, Result<R, UnitFailure>)>| loop {
+            // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
+            let msg = seed_rx.lock().expect("seed channel lock").recv();
+            match msg {
+                Ok((i, s)) => {
+                    let res = guarded_body(i, &regions[i as usize], &s);
+                    if done_tx.send((i, res)).is_err() {
+                        return;
                     }
                 }
-                None
-            });
-            for _ in 0..consumers {
-                let done_tx = done_tx.clone();
-                let seed_rx = &seed_rx;
-                scope.spawn(move || loop {
-                    // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-                    let msg = seed_rx.lock().expect("seed channel lock").recv();
-                    match msg {
-                        Ok((i, s)) => {
-                            let res = guarded_body(i, &regions[i as usize], &s);
-                            if done_tx.send((i, res)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                });
+                Err(_) => return,
             }
-            drop(done_tx);
+        };
+        let consume = &consume;
+        std::thread::scope(|scope| {
+            for helper in helpers {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || helper.run(|| consume(done_tx)));
+            }
+            let mut seed_fault: Option<(u32, UnitFailure)> = None;
+            for (i, r) in regions.iter().enumerate() {
+                let iu = i as u32;
+                match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
+                    Ok(s) => {
+                        if seed_tx.send((iu, s)).is_err() {
+                            break; // consumers gone
+                        }
+                    }
+                    // The chain cannot continue past a dead seed.
+                    Err(f) => {
+                        seed_fault = Some((iu, f));
+                        break;
+                    }
+                }
+            }
+            drop(seed_tx);
+            consume(done_tx);
             let mut slots: Vec<Option<Result<R, UnitFailure>>> = (0..n).map(|_| None).collect();
             for (i, res) in done_rx.iter() {
                 slots[i as usize] = Some(res);
             }
-            let (poisoned_at, mut seed_fault) = match producer.join() {
-                Ok(Some((u, f))) => (Some(u), Some(f)),
-                _ => (None, None),
+            let (poisoned_at, mut seed_fault) = match seed_fault {
+                Some((u, f)) => (Some(u), Some(f)),
+                None => (None, None),
             };
             let mut out = Vec::with_capacity(n);
             let mut failures = Vec::new();
@@ -548,7 +544,7 @@ impl RegionScheduler {
         regions: &[Region],
         policy: &FaultPolicy,
         spec: impl Fn(u32, &Region) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R + Send,
+        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
         let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
@@ -571,7 +567,8 @@ impl RegionScheduler {
                 reconcile(i, r, slot.take().flatten())
             })
         };
-        if self.workers <= 1 || n <= 1 {
+        let helpers = self.lease_helpers(n);
+        if helpers.is_empty() {
             let mut out = Vec::with_capacity(n);
             let mut failures = Vec::new();
             let mut poisoned: Option<u32> = None;
@@ -598,23 +595,24 @@ impl RegionScheduler {
             }
             return (out, failures);
         }
-        let pool = (self.workers - 1).min(n);
         let next = AtomicUsize::new(0);
         let (done_tx, done_rx) = bounded::<(u32, Option<S>)>(n);
         let guarded_spec = &guarded_spec;
         let next = &next;
         std::thread::scope(|scope| {
-            for _ in 0..pool {
+            for helper in helpers {
                 let done_tx = done_tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    let s = guarded_spec(i as u32, &regions[i]);
-                    if done_tx.send((i as u32, s)).is_err() {
-                        return;
-                    }
+                scope.spawn(move || {
+                    helper.run(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return;
+                        }
+                        let s = guarded_spec(i as u32, &regions[i]);
+                        if done_tx.send((i as u32, s)).is_err() {
+                            return;
+                        }
+                    })
                 });
             }
             drop(done_tx);

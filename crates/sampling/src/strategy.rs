@@ -157,11 +157,13 @@ pub trait SamplingStrategy: Send + Sync {
         None
     }
 
-    /// Number of threads one [`run`](SamplingStrategy::run) call spawns
-    /// internally (1 for single-threaded strategies; the configured
-    /// region-worker count for scheduler-backed runners). Batch
-    /// executors divide their worker pools by the batch's maximum so
-    /// nested parallelism does not oversubscribe the host.
+    /// Most threads one [`run`](SamplingStrategy::run) call may use
+    /// (1 for single-threaded strategies; the configured region-worker
+    /// count for scheduler-backed runners). An informational hint only:
+    /// the threads beyond the caller are leased from the rayon shim's
+    /// process-wide budget, which is what keeps nested parallelism from
+    /// oversubscribing the host, so no executor needs to size itself by
+    /// this value.
     fn internal_parallelism(&self) -> usize {
         1
     }

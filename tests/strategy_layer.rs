@@ -156,3 +156,37 @@ fn pipelined_trait_run_matches_serial_oracle() {
     assert_eq!(serial.stats, piped.stats);
     assert_eq!(serial.dsw_counts, piped.dsw_counts);
 }
+
+#[test]
+fn default_executor_matches_the_serial_matrix_under_nested_parallelism() {
+    // The default executor runs one cell per core while DeLorean (host
+    // region workers) and speculative SMARTS (2 region workers) lease
+    // their own helpers from the same budget: still pure scheduling.
+    let machine = MachineConfig::for_scale(scale());
+    let plan = SamplingConfig::for_scale(scale()).with_regions(4).plan();
+    let mut strategies = strategies(machine);
+    strategies.push(Box::new(
+        SmartsRunner::new(machine)
+            .with_speculation(ProxyStateSource::StatModel)
+            .with_region_workers(2),
+    ));
+    let workloads: Vec<_> = ["mcf", "hmmer", "soplex"]
+        .iter()
+        .map(|n| spec_workload(n, scale(), 42).unwrap())
+        .collect();
+
+    let serial = BatchExecutor::with_threads(1).run_matrix(&strategies, &workloads, &plan);
+    let default = BatchExecutor::new().run_matrix(&strategies, &workloads, &plan);
+    for (srow, drow) in serial.iter().zip(&default) {
+        for (s, d) in srow.iter().zip(drow) {
+            assert_eq!(s.strategy, d.strategy);
+            assert_eq!(
+                fingerprint(s),
+                fingerprint(d),
+                "the default executor changed {}/{}",
+                s.workload,
+                s.strategy
+            );
+        }
+    }
+}
