@@ -553,7 +553,7 @@ mod tests {
             let units = sched.run_units(regions, |_, _| probe.leaf());
             let seeded = sched.run_seeded(regions, |_, _| probe.leaf(), |_, _, s| s + probe.leaf());
             let spec =
-                sched.run_speculative(regions, |_, _| probe.leaf(), |_, _, s| s + probe.leaf());
+                sched.run_speculative(regions, |_, _, _| probe.leaf(), |_, _, s| s + probe.leaf());
             let nested: Vec<u64> = regions
                 .par_iter()
                 .map(|_| {

@@ -43,6 +43,16 @@ impl AccessResult {
 
 /// A set-associative cache with pluggable replacement.
 ///
+/// LRU and FIFO caches of 2, 4, 8 or 16 ways — every Table 1 geometry
+/// — run [`access`](Cache::access), [`lookup`](Cache::lookup) and
+/// [`fill`](Cache::fill) through one branchless fixed-width kernel: a
+/// single pass over the set's tag and stamp rows computes the hit mask,
+/// the first-empty mask and the oldest stamp together, then one selected
+/// way is written back and the statistics, `valid_lines` and evictions
+/// are updated arithmetically. Every other policy and width takes the
+/// policy-generic path. Both make the same decisions and leave the same
+/// state, bit for bit.
+///
 /// ```
 /// use delorean_cache::{Cache, CacheConfig};
 /// use delorean_trace::LineAddr;
@@ -72,6 +82,9 @@ pub struct Cache {
     rng: u64,
     valid_lines: u64,
     stats: CacheStats,
+    /// Width of the branchless LRU/FIFO kernel this cache runs, or 0 for
+    /// the policy-generic path.
+    kernel_ways: usize,
 }
 
 impl Cache {
@@ -98,6 +111,20 @@ impl Cache {
             rng: 0x5eed_c0de,
             valid_lines: 0,
             stats: CacheStats::default(),
+            kernel_ways: Self::kernel_width(&cfg),
+        }
+    }
+
+    /// The fixed-width kernel a configuration runs: its associativity for
+    /// LRU and FIFO at 2, 4, 8 or 16 ways, else 0 (the generic path).
+    fn kernel_width(cfg: &CacheConfig) -> usize {
+        let policy = matches!(
+            cfg.replacement,
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+        );
+        match cfg.ways {
+            2 | 4 | 8 | 16 if policy => cfg.ways as usize,
+            _ => 0,
         }
     }
 
@@ -260,9 +287,43 @@ impl Cache {
     }
 
     /// Access `line`, updating replacement state and filling on a miss.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, line: LineAddr) -> AccessResult {
         self.advance_tick();
+        match self.run_kernel::<true, true>(line) {
+            Some((true, _)) => AccessResult::Hit,
+            Some((false, evicted)) => AccessResult::Miss { evicted },
+            None => self.access_generic(line),
+        }
+    }
+
+    /// Access `line` *without* filling on a miss: hits update replacement
+    /// state and statistics, misses only count. Used when the fill is
+    /// deferred behind an MSHR.
+    #[inline(always)]
+    pub fn lookup(&mut self, line: LineAddr) -> bool {
+        self.advance_tick();
+        match self.run_kernel::<false, true>(line) {
+            Some((hit, _)) => hit,
+            None => self.lookup_generic(line),
+        }
+    }
+
+    /// Insert `line` without recording an access (prefetch fill / warming
+    /// transplant). Returns the evicted victim, if any. No-op if present.
+    #[inline(always)]
+    pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
+        self.advance_tick();
+        match self.run_kernel::<true, false>(line) {
+            Some((_, evicted)) => evicted,
+            None => self.fill_generic(line),
+        }
+    }
+
+    /// [`access`](Cache::access) on the policy-generic path. Kept out of
+    /// line so the kernel callers stay small enough to inline.
+    #[inline(never)]
+    fn access_generic(&mut self, line: LineAddr) -> AccessResult {
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -277,12 +338,9 @@ impl Cache {
         AccessResult::Miss { evicted }
     }
 
-    /// Access `line` *without* filling on a miss: hits update replacement
-    /// state and statistics, misses only count. Used when the fill is
-    /// deferred behind an MSHR.
-    #[inline]
-    pub fn lookup(&mut self, line: LineAddr) -> bool {
-        self.advance_tick();
+    /// [`lookup`](Cache::lookup) on the policy-generic path.
+    #[inline(never)]
+    fn lookup_generic(&mut self, line: LineAddr) -> bool {
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -295,11 +353,9 @@ impl Cache {
         false
     }
 
-    /// Insert `line` without recording an access (prefetch fill / warming
-    /// transplant). Returns the evicted victim, if any. No-op if present.
-    #[inline]
-    pub fn fill(&mut self, line: LineAddr) -> Option<LineAddr> {
-        self.advance_tick();
+    /// [`fill`](Cache::fill) on the policy-generic path.
+    #[inline(never)]
+    fn fill_generic(&mut self, line: LineAddr) -> Option<LineAddr> {
         let set = self.set_index(line);
         let row = self.row(set);
         let ways = self.cfg.ways as usize;
@@ -308,6 +364,88 @@ impl Cache {
             return None;
         }
         self.fill_into(set, row, empty, line)
+    }
+
+    /// Run the fixed-width kernel if this cache has one: `FILLS` fills on
+    /// a miss ([`access`](Cache::access), [`fill`](Cache::fill)),
+    /// `COUNTS` records the hit or miss ([`access`](Cache::access),
+    /// [`lookup`](Cache::lookup)). Returns whether `line` hit and the
+    /// line a fill evicted, or `None` for a generic-path cache. The
+    /// dispatch is perfectly predicted: a cache's width never changes.
+    #[inline(always)]
+    fn run_kernel<const FILLS: bool, const COUNTS: bool>(
+        &mut self,
+        line: LineAddr,
+    ) -> Option<(bool, Option<LineAddr>)> {
+        Some(match self.kernel_ways {
+            2 => self.kernel::<2, FILLS, COUNTS>(line),
+            4 => self.kernel::<4, FILLS, COUNTS>(line),
+            8 => self.kernel::<8, FILLS, COUNTS>(line),
+            16 => self.kernel::<16, FILLS, COUNTS>(line),
+            _ => return None,
+        })
+    }
+
+    /// The branchless LRU/FIFO kernel at `N` ways.
+    ///
+    /// One pass over the set's tag and stamp rows yields the hit mask,
+    /// the first-empty mask and the ways holding the oldest stamp. The
+    /// selected way is the hit way, else the first empty way, else the
+    /// first oldest way — exactly the generic path's choice, since a
+    /// victim is only taken from a full set, whose valid stamps are
+    /// distinct. That one way is written back unconditionally (with its
+    /// own values where nothing changes), and every counter moves by a
+    /// 0/1 amount instead of behind a branch.
+    #[inline(always)]
+    fn kernel<const N: usize, const FILLS: bool, const COUNTS: bool>(
+        &mut self,
+        line: LineAddr,
+    ) -> (bool, Option<LineAddr>) {
+        let row = self.row(self.set_index(line));
+        let now = self.stamp_now();
+        let lru = matches!(self.cfg.replacement, ReplacementPolicy::Lru);
+        let tags: &mut [u64; N] = set_row(&mut self.tags, row);
+        let stamps: &mut [u32; N] = set_row(&mut self.stamps, row);
+        let mut hit_mask = 0u32;
+        let mut empty_mask = 0u32;
+        let mut oldest = u32::MAX;
+        for w in 0..N {
+            hit_mask |= u32::from(tags[w] == line.0) << w;
+            empty_mask |= u32::from(tags[w] == EMPTY) << w;
+            oldest = oldest.min(stamps[w]);
+        }
+        let mut oldest_mask = 0u32;
+        for (w, &s) in stamps.iter().enumerate() {
+            oldest_mask |= u32::from(s == oldest) << w;
+        }
+        let hit = hit_mask != 0;
+        // All ones when the condition holds, else zero.
+        let when = |c: bool| u32::from(c).wrapping_neg();
+        let fill_mask = empty_mask | (oldest_mask & when(empty_mask == 0));
+        let pick = if FILLS {
+            hit_mask | (fill_mask & when(!hit))
+        } else {
+            hit_mask
+        };
+        // A lookup miss picks no way (32 trailing zeros); the mask keeps
+        // the index in range, and nothing is written to it below.
+        let w = (pick.trailing_zeros() as usize) & (N - 1);
+        let old = tags[w];
+        let filled = FILLS && !hit;
+        if FILLS {
+            tags[w] = line.0; // a hit way already holds `line`
+        }
+        // LRU refreshes on a counted hit; a fill always stamps.
+        let refresh = if hit { lru && COUNTS } else { FILLS };
+        stamps[w] = if refresh { now } else { stamps[w] };
+        if COUNTS {
+            self.stats.hits += u64::from(hit);
+            self.stats.misses += u64::from(!hit);
+        }
+        let evicts = filled && old != EMPTY;
+        self.stats.evictions += u64::from(evicts);
+        self.valid_lines += u64::from(filled && old == EMPTY);
+        (hit, evicts.then_some(LineAddr(old)))
     }
 
     /// Count one access tick, re-anchoring the stamps first if the new
@@ -363,6 +501,14 @@ impl Cache {
     #[cfg(test)]
     fn with_stamp_limit(mut self, limit: u64) -> Self {
         self.stamp_limit = limit;
+        self
+    }
+
+    /// Route every access through the policy-generic path, so tests can
+    /// check the fixed-width kernel against it.
+    #[cfg(test)]
+    fn with_generic_path(mut self) -> Self {
+        self.kernel_ways = 0;
         self
     }
 
@@ -441,6 +587,7 @@ impl Cache {
         self.rng = other.rng;
         self.valid_lines = other.valid_lines;
         self.stats = other.stats;
+        self.kernel_ways = other.kernel_ways;
     }
 
     /// A [`mix64`] fold over the cache's **behaviorally live** state: the
@@ -675,6 +822,14 @@ impl Cache {
         }
         w
     }
+}
+
+/// The `N` entries of the set row starting at `row`, as a fixed-width
+/// array the kernel's loops fully unroll over.
+#[inline(always)]
+fn set_row<const N: usize, T>(v: &mut [T], row: usize) -> &mut [T; N] {
+    // lint:allow(no-unwrap): the slice is exactly N long, so the array conversion is infallible
+    (&mut v[row..row + N]).try_into().expect("kernel width")
 }
 
 /// A serializable image of a cache's microarchitectural state (the
@@ -1059,6 +1214,78 @@ mod tests {
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn fixed_width_kernel_matches_the_generic_path() {
+        // The branchless LRU/FIFO kernel must make the generic path's
+        // every decision and leave its exact state, stamps included,
+        // across hits, misses, fills, lookups, invalidations and
+        // mid-stream stamp rebases.
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            for ways in [2u32, 4, 8, 16] {
+                let limit = u64::from(ways) * 5;
+                let mut kernel = tiny(ways, policy).with_stamp_limit(limit);
+                let mut generic = tiny(ways, policy)
+                    .with_stamp_limit(limit)
+                    .with_generic_path();
+                assert_eq!(kernel.kernel_ways, ways as usize);
+                let ctx = |i: u64| format!("{policy:?} ways={ways} step {i}");
+                for i in 0..20_000u64 {
+                    let r = delorean_trace::mix64(u64::from(ways) ^ 0x5a, i);
+                    // Three lines per way per set: sets fill, overflow
+                    // and empty again under invalidations.
+                    let line = LineAddr(r % (12 * u64::from(ways)));
+                    match (r >> 32) % 8 {
+                        0 | 1 => {
+                            assert_eq!(kernel.lookup(line), generic.lookup(line), "{}", ctx(i))
+                        }
+                        2 => assert_eq!(kernel.fill(line), generic.fill(line), "{}", ctx(i)),
+                        3 => assert_eq!(
+                            kernel.invalidate(line),
+                            generic.invalidate(line),
+                            "{}",
+                            ctx(i)
+                        ),
+                        _ => assert_eq!(kernel.access(line), generic.access(line), "{}", ctx(i)),
+                    }
+                    if i % 499 == 0 || i == 19_999 {
+                        assert_eq!(kernel.stats(), generic.stats(), "{}", ctx(i));
+                        assert_eq!(kernel.valid_lines, generic.valid_lines, "{}", ctx(i));
+                        assert_eq!(
+                            kernel.state_digest(3),
+                            generic.state_digest(3),
+                            "{}",
+                            ctx(i)
+                        );
+                        assert_eq!(kernel.snapshot(), generic.snapshot(), "{}", ctx(i));
+                    }
+                }
+                assert!(kernel.stats().evictions > 0, "{policy:?} ways={ways}");
+                assert!(
+                    kernel.stamp_base > 0,
+                    "{policy:?} ways={ways}: never rebased"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_lru_and_fifo_at_power_of_two_widths_take_the_kernel() {
+        for (ways, policy, width) in [
+            (2, ReplacementPolicy::Lru, 2),
+            (16, ReplacementPolicy::Fifo, 16),
+            (1, ReplacementPolicy::Lru, 0),
+            (32, ReplacementPolicy::Lru, 0),
+            (4, ReplacementPolicy::PLru, 0),
+            (8, ReplacementPolicy::Srrip, 0),
+        ] {
+            assert_eq!(
+                tiny(ways, policy).kernel_ways,
+                width,
+                "{policy:?} ways={ways}"
+            );
+        }
     }
 
     #[test]

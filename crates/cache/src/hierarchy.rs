@@ -19,6 +19,14 @@
 //! bit-identical in cache state, MSHR state and statistics — pinned by
 //! the `batched_equivalence` property tests and re-checked by the
 //! `bench_pr4` oracle.
+//!
+//! Under both, each cache level's [`Cache::lookup`], [`Cache::access`]
+//! and [`Cache::fill`] run the branchless fixed-width LRU/FIFO kernel
+//! for every Table 1 geometry (see [`Cache`]): one pass over the set's
+//! tag and stamp rows, one written-back way, no branch on hit, empty
+//! way or victim inside the cache. What still branches per access is
+//! the hierarchy's own routing — L1 hit, MSHR merge, LLC hit — which
+//! decides which level is consulted next.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -104,7 +112,7 @@ impl Hierarchy {
 
     /// The access core shared by the per-access and batched paths: both
     /// must agree bit-for-bit, so there is exactly one implementation.
-    #[inline]
+    #[inline(always)]
     fn access_data_inner(&mut self, pc: Pc, line: LineAddr, now: u64) -> MemLevel {
         // Complete any fills whose latency has elapsed. `has_ready` is a
         // single compare, so the common nothing-to-retire case skips the
@@ -166,17 +174,14 @@ impl Hierarchy {
         // pay off when L1 misses actually reach the LLC arrays, so the
         // lookahead adapts to the miss rate of the previous batch.
         const LOOKAHEAD: usize = 8;
-        if self.warm_llc_lookahead {
-            for (i, a) in batch.iter().enumerate() {
+        let lookahead = self.warm_llc_lookahead;
+        for (i, a) in batch.iter().enumerate() {
+            if lookahead {
                 if let Some(ahead) = batch.get(i + LOOKAHEAD) {
                     self.llc.prefetch_set(ahead.addr.line());
                 }
-                self.access_data_inner(a.pc, a.addr.line(), a.index);
             }
-        } else {
-            for a in batch {
-                self.access_data_inner(a.pc, a.addr.line(), a.index);
-            }
+            self.access_data_inner(a.pc, a.addr.line(), a.index);
         }
         let (seen, l1) = (self.stats.data_accesses(), self.stats.l1d_hits);
         let delta = seen.saturating_sub(self.warm_marker.0);

@@ -3,7 +3,8 @@
 //!
 //! Every channel in the pipeline has exactly one producer and one
 //! consumer, so `std::sync::mpsc::sync_channel` provides identical
-//! semantics (bounded capacity, blocking send, iteration until the
+//! semantics (bounded capacity, blocking send, `try_send` that hands
+//! the message back when the channel is full, iteration until the
 //! sender is dropped). When network access is available, replace the
 //! `path` dependency with the real `crossbeam` — the names and
 //! signatures below match its `channel` module.
@@ -11,7 +12,7 @@
 pub mod channel {
     //! Multi-producer channels with bounded capacity.
 
-    pub use std::sync::mpsc::{Receiver, SendError, SyncSender as Sender};
+    pub use std::sync::mpsc::{Receiver, SendError, SyncSender as Sender, TrySendError};
 
     /// Create a bounded channel: sends block once `cap` messages are in
     /// flight, providing the backpressure the pipeline relies on.

@@ -18,7 +18,7 @@ use crate::config::{Region, RegionPlan};
 use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
 use crate::proxy::{ProxyStateSource, SpeculationExtras};
 use crate::report::SimulationReport;
-use crate::scheduler::RegionScheduler;
+use crate::scheduler::{RegionScheduler, SpecForm};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, HierarchySnapshot, MachineConfig};
 use delorean_cpu::TimingConfig;
@@ -29,7 +29,7 @@ use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 /// The checkpoints of one (workload, plan, machine) combination.
 #[derive(Clone, Debug)]
 pub struct CheckpointSet {
-    snapshots: Vec<HierarchySnapshot>,
+    pub(crate) snapshots: Vec<HierarchySnapshot>,
     /// Host seconds spent producing the checkpoints (one functional-
     /// warming pass over the whole program).
     pub preparation_seconds: f64,
@@ -133,24 +133,33 @@ impl CheckpointWarmingRunner {
 
     /// The preparation run through the **speculative warm lane**: the
     /// warm chain between snapshots is the same chain SMARTS walks, so
-    /// the same protocol applies — each worker builds a proxy of the
-    /// chain state at its region's boundary, digests it, warms its span
-    /// and snapshots; the reconciler advances the true state and on a
-    /// digest match adopts the worker's snapshot and end state, else
-    /// re-warms the span itself.
+    /// the same protocol applies — each region's speculation builds a
+    /// proxy of the chain state at its boundary and digests it; the
+    /// reconciler advances the true state and commits on a digest match.
+    ///
+    /// As in [`SmartsRunner::run_speculative_with_workers`](crate::SmartsRunner::run_speculative_with_workers),
+    /// speculation runs only ahead of the chain. A helper that claims a
+    /// region first also warms the proxy over the region's span and
+    /// snapshots it, and a commit adopts that snapshot and end state. A
+    /// region the reconciler reaches first gets only the proxy digest,
+    /// and the chain warms and snapshots in place exactly like
+    /// [`prepare`](Self::prepare). Without helpers the lane therefore
+    /// costs `prepare` plus the proxy digests, and its snapshots equal
+    /// `prepare`'s byte for byte.
     ///
     /// One wrinkle: [`Hierarchy::snapshot`] drains the MSHRs, so the
     /// chain state at every boundary after the first is post-drain. The
-    /// spec worker mirrors that by draining its proxy before digesting,
+    /// speculation mirrors that by draining its proxy before digesting,
     /// keeping the comparison apples-to-apples.
     ///
-    /// Committed snapshots may differ from sequentially-prepared ones in
-    /// *dead* bytes (absolute recency stamps) — but storage accounting
-    /// (valid lines) and every evaluation run built on them are
-    /// functions of the live state only, so `preparation_seconds`,
+    /// A snapshot adopted from a helper may differ from the sequentially
+    /// prepared one in *dead* bytes (absolute recency stamps) — but
+    /// storage accounting (valid lines) and every evaluation run built on
+    /// it are functions of the live state only, so `preparation_seconds`,
     /// [`CheckpointSet::storage_bytes`] and the evaluation
     /// [`SimulationReport`] are all identical to sequential preparation
-    /// (pinned by `tests/determinism.rs`).
+    /// (pinned by `tests/determinism.rs`), and so are the
+    /// [`SpeculationExtras`] at every worker count.
     pub fn prepare_speculative(
         &self,
         workload: &dyn Workload,
@@ -170,10 +179,9 @@ impl CheckpointWarmingRunner {
 
         struct Speculation {
             digest: u64,
-            end_state: Hierarchy,
-            snapshot: HierarchySnapshot,
             proxy_seconds: f64,
-            total_seconds: f64,
+            /// A full speculation's end state and snapshot.
+            ahead: Option<(Hierarchy, HierarchySnapshot)>,
         }
 
         let ctx = crate::proxy::ProxyContext {
@@ -183,26 +191,22 @@ impl CheckpointWarmingRunner {
             p,
             mult,
         };
-        let spec = |i: u32, region: &crate::config::Region| -> Speculation {
+        let spec = |i: u32, region: &Region, form: SpecForm| -> Speculation {
             let at = positions[i as usize];
             let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
             let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
             // The chain drained its MSHRs when it snapshotted at `at`.
             h.drain_mshrs();
             let digest = h.state_digest();
-            let warm_end = region.warming.start / p;
-            let span = warm_end.saturating_sub(at);
-            let warm_seconds = self
-                .cost
-                .instr_seconds(WorkKind::Functional, span * p * mult);
-            h.warm_range(workload, at..warm_end);
-            let snapshot = h.snapshot();
+            let ahead = (form == SpecForm::Full).then(|| {
+                h.warm_range(workload, at..region.warming.start / p);
+                let snapshot = h.snapshot();
+                (h, snapshot)
+            });
             Speculation {
                 digest,
-                end_state: h,
-                snapshot,
                 proxy_seconds,
-                total_seconds: proxy_seconds + warm_seconds,
+                ahead,
             }
         };
 
@@ -213,32 +217,35 @@ impl CheckpointWarmingRunner {
         let snapshots = RegionScheduler::new(workers).run_speculative(
             &plan.regions,
             spec,
-            |i: u32, region: &crate::config::Region, s: Speculation| -> HierarchySnapshot {
+            |i: u32, region: &Region, s: Speculation| -> HierarchySnapshot {
                 debug_assert_eq!(pos_access, positions[i as usize]);
                 let warm_end = region.warming.start / p;
                 let span = warm_end.saturating_sub(pos_access);
-                clock.charge(
-                    self.cost
-                        .instr_seconds(WorkKind::Functional, span * p * mult),
-                );
+                let seconds = self
+                    .cost
+                    .instr_seconds(WorkKind::Functional, span * p * mult);
+                clock.charge(seconds);
                 // drain_mshrs is idempotent on the already-drained chain
                 // (and a no-op on the cold start), so digesting after it
-                // matches the spec worker's comparison point exactly.
+                // matches the speculation's comparison point exactly.
                 hierarchy.drain_mshrs();
                 let committed = hierarchy.state_digest() == s.digest;
-                let snapshot = if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    s.snapshot
-                } else {
-                    hierarchy.warm_range(workload, pos_access..warm_end);
-                    hierarchy.snapshot()
+                let snapshot = match s.ahead {
+                    Some((end_state, snapshot)) if committed => {
+                        hierarchy.copy_state_from(&end_state);
+                        snapshot
+                    }
+                    _ => {
+                        hierarchy.warm_range(workload, pos_access..warm_end);
+                        hierarchy.snapshot()
+                    }
                 };
                 pos_access = warm_end;
                 outcomes.push(SpecUnit {
                     unit: i,
                     committed,
                     proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.total_seconds,
+                    speculative_seconds: s.proxy_seconds + seconds,
                 });
                 snapshot
             },

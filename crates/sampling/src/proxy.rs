@@ -2,14 +2,21 @@
 //!
 //! SMARTS's warm chain is sequential because the hierarchy at a region
 //! boundary depends on every access before it. The speculative lane
-//! breaks the chain by *guessing* that state: each worker builds a cheap
-//! **proxy** of the hierarchy at its region's chain position, records the
-//! proxy's [`Hierarchy::state_digest`], and warms/measures from it in
-//! parallel. A sequential reconciler later compares the digest against
-//! the true carried state — on a match the speculative measurement is
-//! committed as-is; on a mismatch the region is re-measured from the
-//! true state, so the final report is bitwise identical to sequential
-//! SMARTS either way.
+//! breaks the chain by *guessing* that state: each region's speculation
+//! builds a cheap **proxy** of the hierarchy at its chain position and
+//! records the proxy's [`Hierarchy::state_digest`]. A sequential
+//! reconciler compares the digest against the true carried state and
+//! commits the region on a match, so the final report is bitwise
+//! identical to sequential SMARTS either way.
+//!
+//! Speculation runs only ahead of the chain. A helper thread that
+//! claims a region before the reconciler reaches it also warms and
+//! measures from the proxy, so a commit adopts that measurement and a
+//! miss re-measures from the true state. A region the reconciler
+//! reaches first only gets its proxy digest; the chain then warms and
+//! measures in place, like plain SMARTS. Without helpers — one worker,
+//! or a host whose cores are all busy — the lane therefore costs plain
+//! SMARTS plus the proxy digests, never a second warm-and-measure.
 //!
 //! A proxy source must be a **deterministic function of
 //! `(workload, plan, region index)`** — never of runtime timing —
@@ -163,7 +170,9 @@ impl SpeculationExtras {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delorean_trace::{spec_workload, Scale};
+    use crate::SamplingStrategy;
+    use delorean_trace::{spec_workload, AccessCursor, BranchModel, MemAccess, Scale};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn proxy_sources_have_stable_names() {
@@ -239,6 +248,190 @@ mod tests {
         let mut warm = Hierarchy::new(&machine);
         warm.warm_range(&w, 0..10_000);
         assert_ne!(proxy.state_digest(), warm.state_digest());
+    }
+
+    /// A workload that counts every access it hands out, through
+    /// `access_at` and through its cursors.
+    struct Counting<W> {
+        inner: W,
+        served: AtomicU64,
+    }
+
+    impl<W: Workload> Counting<W> {
+        fn new(inner: W) -> Self {
+            Counting {
+                inner,
+                served: AtomicU64::new(0),
+            }
+        }
+
+        /// Accesses served since the last call.
+        fn take(&self) -> u64 {
+            self.served.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    struct CountingCursor<'a> {
+        inner: Box<dyn AccessCursor + 'a>,
+        served: &'a AtomicU64,
+    }
+
+    impl AccessCursor for CountingCursor<'_> {
+        fn position(&self) -> u64 {
+            self.inner.position()
+        }
+
+        fn end(&self) -> u64 {
+            self.inner.end()
+        }
+
+        fn fill(&mut self, out: &mut Vec<MemAccess>, max: usize) -> usize {
+            let n = self.inner.fill(out, max);
+            self.served.fetch_add(n as u64, Ordering::Relaxed);
+            n
+        }
+    }
+
+    impl<W: Workload> Workload for Counting<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn mem_period(&self) -> u64 {
+            self.inner.mem_period()
+        }
+
+        fn access_at(&self, k: u64) -> MemAccess {
+            self.served.fetch_add(1, Ordering::Relaxed);
+            self.inner.access_at(k)
+        }
+
+        fn branch_model(&self) -> BranchModel {
+            self.inner.branch_model()
+        }
+
+        fn cursor<'a>(&'a self, range: std::ops::Range<u64>) -> Box<dyn AccessCursor + 'a> {
+            Box::new(CountingCursor {
+                inner: self.inner.cursor(range),
+                served: &self.served,
+            })
+        }
+    }
+
+    /// Accesses the StatModel proxies of a chain with these region
+    /// boundary positions stream.
+    fn proxy_accesses(
+        w: &Counting<impl Workload>,
+        machine: &MachineConfig,
+        positions: &[u64],
+    ) -> u64 {
+        let cost = CostModel::paper_host();
+        let ctx = ProxyContext {
+            machine,
+            cost: &cost,
+            workload: w,
+            p: w.mem_period(),
+            mult: 1,
+        };
+        w.take();
+        for (i, &at) in positions.iter().enumerate() {
+            let prev = if i == 0 { 0 } else { positions[i - 1] };
+            ProxyStateSource::StatModel.build(&ctx, at, prev);
+        }
+        w.take()
+    }
+
+    fn speculation_setup(
+        input: &str,
+    ) -> (Counting<impl Workload>, MachineConfig, crate::RegionPlan) {
+        let scale = Scale::tiny();
+        (
+            Counting::new(spec_workload(input, scale, 7).unwrap()),
+            MachineConfig::for_scale(scale),
+            crate::SamplingConfig::for_scale(scale)
+                .with_regions(4)
+                .plan(),
+        )
+    }
+
+    #[test]
+    fn speculative_smarts_without_helpers_costs_plain_plus_proxies() {
+        // hmmer's proxies commit and mcf's miss: a lane that speculated
+        // in full without a helper would stream a miss's warm-and-measure
+        // twice.
+        let (mut commits, mut misses) = (0, 0);
+        for input in ["hmmer", "mcf"] {
+            let (w, machine, plan) = speculation_setup(input);
+            let p = w.mem_period();
+            let mut positions = vec![0];
+            positions.extend(plan.regions.iter().map(|r| r.detailed.end / p));
+            positions.pop();
+            let proxies = proxy_accesses(&w, &machine, &positions);
+            assert!(proxies > 0);
+
+            let runner = crate::SmartsRunner::new(machine);
+            let plain = runner.run_with_workers(&w, &plan, 1);
+            let plain_accesses = w.take();
+            let light =
+                runner.run_speculative_with_workers(&w, &plan, ProxyStateSource::StatModel, 1);
+            let light_accesses = w.take();
+            assert!(
+                light_accesses <= plain_accesses + proxies,
+                "{input}: light lane streamed {light_accesses} accesses, \
+                 plain SMARTS {plain_accesses} + proxies {proxies}"
+            );
+            assert_eq!(light.report, plain.report, "{input}");
+
+            let helped =
+                runner.run_speculative_with_workers(&w, &plan, ProxyStateSource::StatModel, 4);
+            let extras = light.extras::<SpeculationExtras>().expect("extras");
+            assert_eq!(
+                Some(extras),
+                helped.extras::<SpeculationExtras>(),
+                "{input}: extras depend on who speculated"
+            );
+            assert_eq!(helped.report, plain.report, "{input}");
+            commits += extras.hits();
+            misses += extras.outcomes.len() - extras.hits();
+        }
+        assert!(
+            commits > 0 && misses > 0,
+            "{commits} commits, {misses} misses"
+        );
+    }
+
+    #[test]
+    fn speculative_preparation_without_helpers_is_prepare_plus_proxies() {
+        let (w, machine, plan) = speculation_setup("hmmer");
+        let p = w.mem_period();
+        let mut positions = vec![0];
+        positions.extend(plan.regions.iter().map(|r| r.warming.start / p));
+        positions.pop();
+        let proxies = proxy_accesses(&w, &machine, &positions);
+
+        let runner = crate::CheckpointWarmingRunner::new(machine);
+        let plain = runner.prepare(&w, &plan);
+        let plain_accesses = w.take();
+        let (light, light_extras) =
+            runner.prepare_speculative(&w, &plan, ProxyStateSource::StatModel, 1);
+        let light_accesses = w.take();
+        assert!(
+            light_accesses <= plain_accesses + proxies,
+            "light lane streamed {light_accesses} accesses, prepare {plain_accesses} + proxies {proxies}"
+        );
+        // The chain never adopts a proxy's state, so even the dead bytes
+        // of every snapshot match.
+        assert_eq!(light.snapshots, plain.snapshots);
+        assert_eq!(light.preparation_seconds, plain.preparation_seconds);
+
+        let (helped, helped_extras) =
+            runner.prepare_speculative(&w, &plan, ProxyStateSource::StatModel, 4);
+        assert_eq!(
+            light_extras, helped_extras,
+            "extras depend on who speculated"
+        );
+        assert_eq!(helped.storage_bytes(), plain.storage_bytes());
+        assert_eq!(helped.preparation_seconds, plain.preparation_seconds);
     }
 
     #[test]

@@ -29,7 +29,17 @@
 //!   measure bodies fan out across the remaining workers as their seeds
 //!   become available — a producer/consumer pipeline over the bounded
 //!   channel shim, mirroring the paper's OS-pipe pass pipeline at region
-//!   granularity.
+//!   granularity. When the pipe is full the lane runs the oldest queued
+//!   body itself rather than wait, so it never idles and a dead helper
+//!   can never wedge it.
+//!
+//! The speculative warm lane adds a third shape,
+//! [`run_speculative`](RegionScheduler::run_speculative): a plan-order
+//! reconciler on the calling thread, with helpers speculating on the
+//! regions ahead of it. Each region is claimed once, by whoever gets to
+//! it first, and the reconciler never waits for a region no helper has
+//! started. The fault-isolated `_isolated` entry points wrap the same
+//! seeded and speculative lanes rather than copying them.
 //!
 //! A scheduler's worker count is an *upper bound*. Every extra thread
 //! is a helper token leased from the rayon shim's process-wide
@@ -50,12 +60,12 @@
 //! [`StrategyReport`]: crate::StrategyReport
 
 use crate::config::Region;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure, UnitFault};
 use rayon::prelude::*;
 use rayon::{budget, ThreadPoolBuilder};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, TryLockError};
 
 /// The scheduler lost unit results it cannot explain: a worker
 /// terminated before sending, outside the fault-isolated paths that
@@ -99,6 +109,19 @@ fn split_results<R>(results: Vec<Result<R, UnitFailure>>) -> (Vec<Option<R>>, Ve
         }
     }
     (out, failures)
+}
+
+/// How much of a speculation task to run, decided by who claims the
+/// region (see [`RegionScheduler::run_speculative`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SpecForm {
+    /// A helper claimed the region ahead of the chain: speculate in
+    /// full, so a commit can adopt the result without redoing the work.
+    Full,
+    /// The reconciler reached the region before any helper: do only what
+    /// the commit decision needs (for the warm lane, the proxy's digest),
+    /// since the chain does the region's work in place right after.
+    Light,
 }
 
 /// Fans a region plan's independent units out across workers and
@@ -186,10 +209,14 @@ impl RegionScheduler {
     /// When it leases helpers, the calling thread runs the seed lane and
     /// bodies drain from a bounded channel on the helpers, so seed
     /// production overlaps body evaluation — the region-granular
-    /// analogue of the paper's pass pipeline; once the lane is done the
-    /// calling thread drains bodies too. With one worker, or no idle
-    /// helper, the two interleave exactly like the classic sequential
-    /// driver: seed(0), body(0), seed(1), body(1), …
+    /// analogue of the paper's pass pipeline. Whenever the channel is
+    /// full the lane runs the oldest queued body itself instead of
+    /// blocking, and once the lane is done the calling thread drains
+    /// bodies too; a body that panics on a helper therefore fails the
+    /// run (at the latest when the lane meets a full queue) instead of
+    /// hanging it. With one worker, or no idle helper, the two
+    /// interleave exactly like the classic sequential driver: seed(0),
+    /// body(0), seed(1), body(1), …
     pub fn run_seeded<S: Send, R: Send>(
         &self,
         regions: &[Region],
@@ -214,18 +241,20 @@ impl RegionScheduler {
         let (seed_tx, seed_rx) = bounded::<(u32, S)>(helpers.len().max(2));
         let (done_tx, done_rx) = bounded::<(u32, R)>(n);
         let seed_rx = Mutex::new(seed_rx);
+        // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
+        let queue = || seed_rx.lock().expect("seed channel lock");
+        let run_body = |(i, s): (u32, S), done_tx: &Sender<(u32, R)>| {
+            // The done channel holds every unit, so this never blocks.
+            let _ = done_tx.send((i, body(i, &regions[i as usize], s)));
+        };
         let consume = |done_tx: Sender<(u32, R)>| loop {
-            // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-            let msg = seed_rx.lock().expect("seed channel lock").recv();
-            match msg {
-                Ok((i, s)) => {
-                    let out = body(i, &regions[i as usize], s);
-                    if done_tx.send((i, out)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return, // seed lane done, channel drained
-            }
+            // Hold the lock for the receive only: the guard must drop
+            // before the body runs, or every other consumer (and the
+            // lane's `try_lock`) would wait for that body. `recv` ends
+            // once the seed lane is done and the queue drained.
+            let msg = queue().recv();
+            let Ok(msg) = msg else { return };
+            run_body(msg, &done_tx);
         };
         let consume = &consume;
         std::thread::scope(|scope| {
@@ -234,9 +263,24 @@ impl RegionScheduler {
                 scope.spawn(move || helper.run(|| consume(done_tx)));
             }
             for (i, r) in regions.iter().enumerate() {
-                let s = seed(i as u32, r);
-                if seed_tx.send((i as u32, s)).is_err() {
-                    break; // consumers gone (a body panicked)
+                let mut msg = (i as u32, seed(i as u32, r));
+                // A full queue means every helper is busy (or dead): run
+                // the oldest queued body here instead of blocking on the
+                // send, so a helper's panic can never wedge the lane.
+                while let Err(TrySendError::Full(back)) = seed_tx.try_send(msg) {
+                    msg = back;
+                    // Never wait for the lock: a helper holding it is
+                    // mid-receive and about to make room.
+                    let oldest = match seed_rx.try_lock() {
+                        Ok(rx) => rx.try_recv().ok(),
+                        // A receiver keeps no invariant a panic could break.
+                        Err(TryLockError::Poisoned(rx)) => rx.into_inner().try_recv().ok(),
+                        Err(TryLockError::WouldBlock) => None,
+                    };
+                    match oldest {
+                        Some(oldest) => run_body(oldest, &done_tx),
+                        None => std::thread::yield_now(),
+                    }
                 }
             }
             drop(seed_tx);
@@ -263,46 +307,49 @@ impl RegionScheduler {
         })
     }
 
-    /// Evaluate **speculative** units: `spec` bodies are fully
-    /// independent (each builds its own proxy state — no chain
-    /// dependency, which is the entire point of the speculative warm
-    /// lane) and fan out immediately across the helpers leased for
-    /// `workers − 1`, while `reconcile` runs on the calling thread **in
-    /// plan order**, folding the sequential carried state and deciding
-    /// commit vs re-measure for each unit as its speculation arrives.
+    /// Evaluate **speculative** units, speculating only where a helper
+    /// runs ahead of the chain.
     ///
-    /// Out-of-order speculation results are buffered until the
-    /// reconciler catches up, so `reconcile(i, …)` always observes units
-    /// `0..i` already reconciled — exactly the sequential fold. With one
-    /// worker, or no idle helper, the two interleave: spec(0),
-    /// reconcile(0), spec(1), …
+    /// `reconcile` runs on the calling thread **in plan order**, folding
+    /// the sequential carried state and deciding commit vs re-measure for
+    /// each unit. Regions are claimed in plan order, once each:
+    ///
+    /// * a helper (leased for `workers − 1`) claims the next unclaimed
+    ///   region and runs `spec` on it in [`SpecForm::Full`] — an
+    ///   independent speculation with no chain dependency, which is the
+    ///   entire point of the speculative warm lane;
+    /// * when the reconciler reaches a region no helper has claimed, it
+    ///   claims the region itself and runs `spec` in [`SpecForm::Light`]:
+    ///   only the part `reconcile` needs to decide the commit, because the
+    ///   chain is about to do the region's work in place anyway. It never
+    ///   waits for a helper that has not started.
+    ///
+    /// Out-of-order full speculations are buffered until the reconciler
+    /// catches up, so `reconcile(i, …)` always observes units `0..i`
+    /// already reconciled — exactly the sequential fold. With one worker,
+    /// or no idle helper, every region is light and the two interleave:
+    /// spec(0), reconcile(0), spec(1), …
     ///
     /// Determinism contract: `spec` must be a pure function of
-    /// `(index, region)`, and `reconcile` must not depend on *when* a
-    /// speculation arrived — then the outputs (and every commit/miss
-    /// decision) are bitwise identical for every worker count.
-    pub fn run_speculative<S: Send, R: Send>(
+    /// `(index, region, form)`, and what `reconcile` returns (and every
+    /// commit/miss decision) must not depend on the form or on *when* a
+    /// speculation arrived — then the outputs are bitwise identical for
+    /// every worker count.
+    pub fn run_speculative<S: Send, R>(
         &self,
         regions: &[Region],
-        spec: impl Fn(u32, &Region) -> S + Sync,
+        spec: impl Fn(u32, &Region, SpecForm) -> S + Sync,
         mut reconcile: impl FnMut(u32, &Region, S) -> R,
     ) -> Vec<R> {
         let n = regions.len();
         let helpers = self.lease_helpers(n);
-        if helpers.is_empty() {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let s = spec(i as u32, r);
-                    reconcile(i as u32, r, s)
-                })
-                .collect();
-        }
+        // The next unclaimed region. Helpers claim with `fetch_add`, the
+        // reconciler with a compare-exchange on exactly the region it
+        // needs; every region below it is already claimed. Results travel
+        // through the channel, so `Relaxed` suffices.
         let next = AtomicUsize::new(0);
-        let (done_tx, done_rx) = bounded::<(u32, S)>(n);
-        let spec = &spec;
-        let next = &next;
+        let (done_tx, done_rx) = bounded::<(u32, S)>(n.max(1));
+        let (spec, next) = (&spec, &next);
         std::thread::scope(|scope| {
             for helper in helpers {
                 let done_tx = done_tx.clone();
@@ -312,9 +359,9 @@ impl RegionScheduler {
                         if i >= n {
                             return;
                         }
-                        let s = spec(i as u32, &regions[i]);
+                        let s = spec(i as u32, &regions[i], SpecForm::Full);
                         if done_tx.send((i as u32, s)).is_err() {
-                            return; // reconciler gone (a sibling panicked)
+                            return; // reconciler gone (it panicked)
                         }
                     })
                 });
@@ -322,19 +369,29 @@ impl RegionScheduler {
             drop(done_tx);
             let mut pending: Vec<Option<S>> = (0..n).map(|_| None).collect();
             let mut out = Vec::with_capacity(n);
-            for (i, s) in done_rx.iter() {
-                pending[i as usize] = Some(s);
-                while out.len() < n {
-                    match pending[out.len()].take() {
-                        Some(s) => {
-                            let i = out.len() as u32;
-                            out.push(reconcile(i, &regions[i as usize], s));
+            for (k, region) in regions.iter().enumerate() {
+                let iu = k as u32;
+                let s = if let Some(s) = pending[k].take() {
+                    s
+                } else if next
+                    .compare_exchange(k, k + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    spec(iu, region, SpecForm::Light)
+                } else {
+                    // A helper claimed `k`: its full speculation is on
+                    // the way (buffer any later ones that overtake it).
+                    loop {
+                        // lint:allow(no-unwrap): the channel only closes once every helper exited, so the helper that claimed `k` panicked; propagating is the only sound recovery
+                        let (i, s) = done_rx.recv().expect("every speculation must arrive");
+                        if i == iu {
+                            break s;
                         }
-                        None => break,
+                        pending[i as usize] = Some(s);
                     }
-                }
+                };
+                out.push(reconcile(iu, region, s));
             }
-            assert_eq!(out.len(), n, "every speculation must arrive");
             out
         })
     }
@@ -383,11 +440,13 @@ impl RegionScheduler {
     ///   the carried state (the cumulative warm hierarchy) half-mutated,
     ///   so it is *not* retried: unit *i* is quarantined with its
     ///   classified fault and every unit after it with
-    ///   [`UnitFault::ChainPoisoned`]. Seeds carry no injection site for
-    ///   the same reason — injected faults must stay recoverable.
+    ///   [`UnitFault::ChainPoisoned`], without calling `seed` again.
+    ///   Seeds carry no injection site for the same reason — injected
+    ///   faults must stay recoverable.
     ///
-    /// A fully clean run's results are bitwise identical to
-    /// [`run_seeded`](Self::run_seeded) at every worker count.
+    /// Built on [`run_seeded`](Self::run_seeded) itself (a unit's seed is
+    /// its guarded outcome), so a fully clean run's results are bitwise
+    /// identical to the plain lane's at every worker count.
     pub fn run_seeded_isolated<S: Send + Clone, R: Send>(
         &self,
         regions: &[Region],
@@ -395,263 +454,97 @@ impl RegionScheduler {
         mut seed: impl FnMut(u32, &Region) -> S,
         body: impl Fn(u32, &Region, S) -> R + Sync,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let n = regions.len();
         let seed_once = FaultPolicy { retry_budget: 0 };
-        let guarded_body = |i: u32, r: &Region, s: &S| -> Result<R, UnitFailure> {
+        let mut poisoned: Option<u32> = None;
+        let guarded_seed = |i: u32, r: &Region| -> Result<S, UnitFailure> {
+            if let Some(upstream) = poisoned {
+                return Err(UnitFailure {
+                    unit: i,
+                    attempts: 0,
+                    fault: UnitFault::ChainPoisoned { upstream },
+                });
+            }
+            fault::run_unit_guarded(i, &seed_once, || seed(i, r))
+                .inspect_err(|_| poisoned = Some(i))
+        };
+        let guarded_body = |i: u32, r: &Region, s: Result<S, UnitFailure>| {
+            let s = s?;
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::UnitEntry, u64::from(i));
                 body(i, r, s.clone())
             })
         };
-        let helpers = self.lease_helpers(n);
-        if helpers.is_empty() {
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, r) in regions.iter().enumerate() {
-                let iu = i as u32;
-                if let Some(upstream) = poisoned {
-                    out.push(None);
-                    failures.push(UnitFailure {
-                        unit: iu,
-                        attempts: 0,
-                        fault: UnitFault::ChainPoisoned { upstream },
-                    });
-                    continue;
-                }
-                match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
-                    Ok(s) => match guarded_body(iu, r, &s) {
-                        Ok(v) => out.push(Some(v)),
-                        Err(f) => {
-                            out.push(None);
-                            failures.push(f);
-                        }
-                    },
-                    Err(f) => {
-                        out.push(None);
-                        failures.push(f);
-                        poisoned = Some(iu);
-                    }
-                }
-            }
-            return (out, failures);
-        }
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(helpers.len().max(2));
-        let (done_tx, done_rx) = bounded::<(u32, Result<R, UnitFailure>)>(n);
-        let seed_rx = Mutex::new(seed_rx);
-        let consume = |done_tx: Sender<(u32, Result<R, UnitFailure>)>| loop {
-            // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
-            let msg = seed_rx.lock().expect("seed channel lock").recv();
-            match msg {
-                Ok((i, s)) => {
-                    let res = guarded_body(i, &regions[i as usize], &s);
-                    if done_tx.send((i, res)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        };
-        let consume = &consume;
-        std::thread::scope(|scope| {
-            for helper in helpers {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || helper.run(|| consume(done_tx)));
-            }
-            let mut seed_fault: Option<(u32, UnitFailure)> = None;
-            for (i, r) in regions.iter().enumerate() {
-                let iu = i as u32;
-                match fault::run_unit_guarded(iu, &seed_once, || seed(iu, r)) {
-                    Ok(s) => {
-                        if seed_tx.send((iu, s)).is_err() {
-                            break; // consumers gone
-                        }
-                    }
-                    // The chain cannot continue past a dead seed.
-                    Err(f) => {
-                        seed_fault = Some((iu, f));
-                        break;
-                    }
-                }
-            }
-            drop(seed_tx);
-            consume(done_tx);
-            let mut slots: Vec<Option<Result<R, UnitFailure>>> = (0..n).map(|_| None).collect();
-            for (i, res) in done_rx.iter() {
-                slots[i as usize] = Some(res);
-            }
-            let (poisoned_at, mut seed_fault) = match seed_fault {
-                Some((u, f)) => (Some(u), Some(f)),
-                None => (None, None),
-            };
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut lost = Vec::new();
-            for (i, slot) in slots.into_iter().enumerate() {
-                let iu = i as u32;
-                match slot {
-                    Some(Ok(r)) => out.push(Some(r)),
-                    Some(Err(f)) => {
-                        out.push(None);
-                        failures.push(f);
-                    }
-                    None => {
-                        out.push(None);
-                        match poisoned_at {
-                            Some(u) if iu == u => {
-                                if let Some(f) = seed_fault.take() {
-                                    failures.push(f);
-                                }
-                            }
-                            Some(u) if iu > u => failures.push(UnitFailure {
-                                unit: iu,
-                                attempts: 0,
-                                fault: UnitFault::ChainPoisoned { upstream: u },
-                            }),
-                            _ => lost.push(iu),
-                        }
-                    }
-                }
-            }
-            if !lost.is_empty() {
-                std::panic::panic_any(LostUnits { units: lost });
-            }
-            (out, failures)
-        })
+        split_results(self.run_seeded(regions, guarded_seed, guarded_body))
     }
 
     /// [`run_speculative`](Self::run_speculative) with **panic
-    /// isolation**.
+    /// isolation**, through the same claim loop.
     ///
     /// Speculation bodies are free to die: a `spec` failure (after its
     /// guarded retries at the [`FaultSite::UnitEntry`] site) simply
     /// degrades that unit's speculation to `None`, and the reconciler —
-    /// which now receives `Option<S>` — takes its miss path and redoes
-    /// the unit from the true carried state. **Spec faults therefore
-    /// never quarantine anything**; they only cost modeled speedup.
+    /// which receives `Option<S>` — takes its miss path and redoes the
+    /// unit from the true carried state. **Spec faults therefore never
+    /// quarantine anything**; they only cost modeled speedup.
     ///
     /// The reconciler is the chain: each call is preceded by a guarded
     /// [`FaultSite::ReconcilerCommit`] gate (injected faults fire here,
     /// *before* any chain mutation, so they are retryable), and the
     /// `reconcile` call itself runs caught-but-unretried — a genuine
     /// reconciler panic may have half-mutated the carried state, so it
-    /// quarantines unit *i* and poisons every later unit.
+    /// quarantines unit *i* and poisons every later unit. Once the chain
+    /// is poisoned, `spec` is no longer called: any later claim yields
+    /// `None` at once.
     ///
     /// A fully clean run's results are bitwise identical to
     /// [`run_speculative`](Self::run_speculative) at every worker count.
-    pub fn run_speculative_isolated<S: Send, R: Send>(
+    pub fn run_speculative_isolated<S: Send, R>(
         &self,
         regions: &[Region],
         policy: &FaultPolicy,
-        spec: impl Fn(u32, &Region) -> S + Sync,
+        spec: impl Fn(u32, &Region, SpecForm) -> S + Sync,
         mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
     ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let n = regions.len();
         let reconcile_once = FaultPolicy { retry_budget: 0 };
-        let guarded_spec = |i: u32, r: &Region| -> Option<S> {
+        // The first unit whose reconcile failed. Shared with the spec
+        // side so that nothing speculates for a unit the chain will
+        // quarantine anyway.
+        let poisoned = OnceLock::<u32>::new();
+        let guarded_spec = |i: u32, r: &Region, form: SpecForm| -> Option<S> {
+            if poisoned.get().is_some() {
+                return None;
+            }
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::UnitEntry, u64::from(i));
-                spec(i, r)
+                spec(i, r, form)
             })
             .ok()
         };
-        let mut guarded_reconcile = |i: u32, r: &Region, s: Option<S>| -> Result<R, UnitFailure> {
+        let guarded_reconcile = |i: u32, r: &Region, s: Option<S>| -> Result<R, UnitFailure> {
+            if let Some(&upstream) = poisoned.get() {
+                return Err(UnitFailure {
+                    unit: i,
+                    attempts: 0,
+                    fault: UnitFault::ChainPoisoned { upstream },
+                });
+            }
             // Injection gate first: it faults before reconcile mutates
             // anything, so the retry loop is sound here...
             fault::run_unit_guarded(i, policy, || {
                 fault::hit(FaultSite::ReconcilerCommit, u64::from(i))
-            })?;
-            // ...but the reconcile body itself gets exactly one attempt.
-            let mut slot = Some(s);
-            fault::run_unit_guarded(i, &reconcile_once, || {
-                reconcile(i, r, slot.take().flatten())
+            })
+            .and_then(|()| {
+                // ...but the reconcile body itself gets exactly one attempt.
+                let mut slot = Some(s);
+                fault::run_unit_guarded(i, &reconcile_once, || {
+                    reconcile(i, r, slot.take().flatten())
+                })
+            })
+            .inspect_err(|_| {
+                let _ = poisoned.set(i);
             })
         };
-        let helpers = self.lease_helpers(n);
-        if helpers.is_empty() {
-            let mut out = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, r) in regions.iter().enumerate() {
-                let iu = i as u32;
-                if let Some(upstream) = poisoned {
-                    out.push(None);
-                    failures.push(UnitFailure {
-                        unit: iu,
-                        attempts: 0,
-                        fault: UnitFault::ChainPoisoned { upstream },
-                    });
-                    continue;
-                }
-                let s = guarded_spec(iu, r);
-                match guarded_reconcile(iu, r, s) {
-                    Ok(v) => out.push(Some(v)),
-                    Err(f) => {
-                        out.push(None);
-                        failures.push(f);
-                        poisoned = Some(iu);
-                    }
-                }
-            }
-            return (out, failures);
-        }
-        let next = AtomicUsize::new(0);
-        let (done_tx, done_rx) = bounded::<(u32, Option<S>)>(n);
-        let guarded_spec = &guarded_spec;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for helper in helpers {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    helper.run(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return;
-                        }
-                        let s = guarded_spec(i as u32, &regions[i]);
-                        if done_tx.send((i as u32, s)).is_err() {
-                            return;
-                        }
-                    })
-                });
-            }
-            drop(done_tx);
-            let mut pending: Vec<Option<Option<S>>> = (0..n).map(|_| None).collect();
-            let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-            let mut failures = Vec::new();
-            let mut poisoned: Option<u32> = None;
-            for (i, s) in done_rx.iter() {
-                pending[i as usize] = Some(s);
-                while out.len() < n {
-                    let k = out.len();
-                    match pending[k].take() {
-                        Some(sopt) => {
-                            let iu = k as u32;
-                            if let Some(upstream) = poisoned {
-                                out.push(None);
-                                failures.push(UnitFailure {
-                                    unit: iu,
-                                    attempts: 0,
-                                    fault: UnitFault::ChainPoisoned { upstream },
-                                });
-                                continue;
-                            }
-                            match guarded_reconcile(iu, &regions[k], sopt) {
-                                Ok(v) => out.push(Some(v)),
-                                Err(f) => {
-                                    out.push(None);
-                                    failures.push(f);
-                                    poisoned = Some(iu);
-                                }
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            assert_eq!(out.len(), n, "every speculation must arrive");
-            (out, failures)
-        })
+        split_results(self.run_speculative(regions, guarded_spec, guarded_reconcile))
     }
 }
 
@@ -716,6 +609,113 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_body_fails_the_seeded_lane_instead_of_hanging() {
+        // Every body dies. Whichever thread runs one first panics; the
+        // seed lane must never wait forever on a full queue whose
+        // helpers are gone.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let rs = regions(12);
+            let outcome = std::panic::catch_unwind(|| {
+                RegionScheduler::new(4).run_seeded(
+                    &rs,
+                    |i, _| i,
+                    |i, _, _| -> u32 { std::panic::panic_any(format!("body {i} dies")) },
+                )
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("run_seeded hung after a body panicked");
+        assert!(panicked, "a dead body must fail the run");
+        run.join()
+            .expect("the watchdog's runner thread catches the panic");
+    }
+
+    #[test]
+    fn seeded_bodies_overlap_when_a_helper_is_leased() {
+        // The lane holds seed 1 back until a body has started, so with a
+        // helper the first body runs there. That body then waits for a
+        // second one, which only the lane can start, from its full
+        // queue. A consumer that kept the queue locked while its body
+        // ran would leave the first body waiting out its timeout alone.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Condvar;
+        let rs = regions(8);
+        let caller = std::thread::current().id();
+        let started = (Mutex::new(0usize), Condvar::new());
+        let (sequential, paired) = (AtomicBool::new(false), AtomicBool::new(true));
+        let got = RegionScheduler::new(3).run_seeded(
+            &rs,
+            |i, _| {
+                if i == 1 {
+                    let (lock, cv) = &started;
+                    let n = lock.lock().expect("rendezvous lock");
+                    drop(cv.wait_while(n, |n| *n == 0).expect("rendezvous lock"));
+                }
+                i
+            },
+            |_, _, s| {
+                let (lock, cv) = &started;
+                let mut n = lock.lock().expect("rendezvous lock");
+                *n += 1;
+                cv.notify_all();
+                // The caller running the first body means the budget
+                // leased no helper: the run is the sequential interleave,
+                // where no two bodies can overlap.
+                if *n == 1 && std::thread::current().id() == caller {
+                    sequential.store(true, Ordering::Relaxed);
+                }
+                if *n == 1 && !sequential.load(Ordering::Relaxed) {
+                    let (n, wait) = cv
+                        .wait_timeout_while(n, std::time::Duration::from_secs(60), |n| *n < 2)
+                        .expect("rendezvous lock");
+                    drop(n);
+                    if wait.timed_out() {
+                        paired.store(false, Ordering::Relaxed);
+                    }
+                }
+                s
+            },
+        );
+        assert_eq!(got, (0..8).collect::<Vec<u32>>());
+        if !sequential.into_inner() {
+            assert!(
+                paired.into_inner(),
+                "the lane never ran a body while a helper's body was in flight"
+            );
+        }
+    }
+
+    #[test]
+    fn speculation_claims_each_region_once_and_runs_light_without_helpers() {
+        let rs = regions(9);
+        for workers in [1, 2, 4, 8] {
+            let (calls, light) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let got = RegionScheduler::new(workers).run_speculative(
+                &rs,
+                |i, _, form| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if form == SpecForm::Light {
+                        light.fetch_add(1, Ordering::Relaxed);
+                    }
+                    i
+                },
+                |i, _, s| {
+                    assert_eq!(i, s, "workers={workers}: speculation of another unit");
+                    s
+                },
+            );
+            assert_eq!(got, (0..9).collect::<Vec<u32>>(), "workers={workers}");
+            assert_eq!(calls.into_inner(), 9, "workers={workers}");
+            if workers == 1 {
+                assert_eq!(light.into_inner(), 9, "no helper, so every region is light");
+            }
+        }
+    }
+
+    #[test]
     fn worker_count_is_clamped_and_reported() {
         assert_eq!(RegionScheduler::new(0).workers(), 1);
         assert_eq!(RegionScheduler::new(5).workers(), 5);
@@ -743,7 +743,7 @@ mod tests {
             let mut acc = 1u64;
             let got = RegionScheduler::new(workers).run_speculative(
                 &rs,
-                |i, r| r.start_instr + u64::from(i) + 2,
+                |i, r, _| r.start_instr + u64::from(i) + 2,
                 |_, _, s| {
                     acc = acc.wrapping_mul(s);
                     acc
@@ -903,7 +903,7 @@ mod tests {
             let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
                 &rs,
                 &policy,
-                |i, r| {
+                |i, r, _| {
                     if i == 3 {
                         std::panic::panic_any("spec 3 dies".to_string());
                     }
@@ -923,10 +923,16 @@ mod tests {
         let rs = regions(5);
         let policy = FaultPolicy::default();
         for workers in [1, 3] {
+            let late_specs = AtomicUsize::new(0);
             let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
                 &rs,
                 &policy,
-                |i, _| u64::from(i),
+                |i, _, _| {
+                    if i > 2 {
+                        late_specs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    u64::from(i)
+                },
                 |i, _, s: Option<u64>| {
                     if i == 2 {
                         std::panic::panic_any("reconcile 2 dies".to_string());
@@ -946,6 +952,11 @@ mod tests {
                 failures[2].fault,
                 UnitFault::ChainPoisoned { upstream: 2 }
             ));
+            if workers == 1 {
+                // Without helpers every claim follows the reconcile
+                // before it, so nothing after the poison speculates.
+                assert_eq!(late_specs.into_inner(), 0);
+            }
         }
     }
 

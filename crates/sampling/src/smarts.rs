@@ -10,7 +10,7 @@
 use crate::config::{Region, RegionPlan};
 use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
 use crate::proxy::{ProxyStateSource, SpeculationExtras};
-use crate::scheduler::RegionScheduler;
+use crate::scheduler::{RegionScheduler, SpecForm};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
@@ -78,25 +78,31 @@ impl SmartsRunner {
 
     /// SMARTS through the **speculative warm lane**.
     ///
-    /// Every region becomes an independent speculation task: build a
-    /// proxy of the chain state at the region's boundary (see
-    /// [`ProxyStateSource`]), record its digest, then warm and measure
-    /// in place from it — no chain dependency, so tasks fan out across
-    /// `workers − 1` workers at once. The reconciler advances the true
-    /// carried state in plan order: when its digest equals the proxy's,
-    /// the worker's start state was behaviourally identical to the
-    /// chain's, so its measurement *and its end state* are adopted
-    /// verbatim (the chain skips the region's warm work entirely — the
-    /// source of the modeled speedup); otherwise the region is
-    /// re-warmed and re-measured from the true state.
+    /// Every region is a speculation task: build a proxy of the chain
+    /// state at the region's boundary (see [`ProxyStateSource`]) and
+    /// record its digest. The reconciler advances the true carried state
+    /// in plan order and commits a region when its digest equals the
+    /// proxy's — the start states were behaviourally identical.
     ///
-    /// Either way every unit's chained charge is
-    /// `chain_step`'s — identical arithmetic to the sequential path —
-    /// so the [`SimulationReport`](crate::SimulationReport) is bitwise
-    /// identical to sequential SMARTS at every worker count and for
-    /// every proxy source (pinned by `tests/determinism.rs`). The
-    /// speculation outcomes ride along as [`SpeculationExtras`], from
-    /// which
+    /// Speculation runs only ahead of the chain. A region a helper
+    /// claims first is speculated in full: the helper also warms and
+    /// measures in place from the proxy, so on a commit the chain adopts
+    /// that measurement *and its end state* and skips the region's warm
+    /// work entirely (the source of the modeled speedup), and on a miss
+    /// the chain re-warms and re-measures from the true state. A region
+    /// the reconciler reaches first is speculated light: only the proxy
+    /// and its digest, then the chain warms and measures in place exactly
+    /// like plain SMARTS. So without helpers (one worker, or a host
+    /// already busy) the lane costs plain SMARTS plus the proxy digests.
+    ///
+    /// Either way every unit's chained charge is `chain_step`'s —
+    /// identical arithmetic to the sequential path — so the
+    /// [`SimulationReport`](crate::SimulationReport) is bitwise identical
+    /// to sequential SMARTS at every worker count and for every proxy
+    /// source (pinned by `tests/determinism.rs`). The commit flags come
+    /// from the same digest comparison in both forms and the outcome
+    /// seconds are plan arithmetic, so the [`SpeculationExtras`] are
+    /// identical at every worker count too; from them
     /// [`RunCost::speculative_wallclock`](delorean_virt::RunCost::speculative_wallclock)
     /// models the lane's wall-clock.
     pub fn run_speculative_with_workers(
@@ -107,64 +113,42 @@ impl SmartsRunner {
         workers: usize,
     ) -> StrategyReport {
         let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
         let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region| {
-            self.speculate(workload, positions, proxy, p, mult, i, region)
+        let spec = |i: u32, region: &Region, form: SpecForm| {
+            self.speculate(workload, plan, positions, proxy, i, region, form)
         };
-
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
-        let mut chained = Vec::with_capacity(plan.regions.len());
-        let mut outcomes: Vec<SpecUnit> = Vec::with_capacity(plan.regions.len());
+        let mut chain = SpecChain::new(self, workload, plan, positions);
         let units = RegionScheduler::new(workers).run_speculative(
             &plan.regions,
             spec,
-            |i: u32, region: &Region, s: Speculation| -> RegionUnit {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                chained.push(step.seconds);
-                let committed = hierarchy.state_digest() == s.digest;
-                let unit = if committed {
-                    hierarchy.copy_state_from(&s.end_state);
-                    s.unit
-                } else {
-                    hierarchy.warm_range(workload, step.warm);
-                    let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                    let mut source =
-                        |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                    driver.measure_region(region, &mut source)
-                };
-                pos_access = step.next_pos;
-                outcomes.push(SpecUnit {
-                    unit: i,
-                    committed,
-                    proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.total_seconds,
-                });
-                unit
-            },
+            |i: u32, region: &Region, s: Speculation| chain.reconcile(i, region, Some(s)),
         );
+        let SpecChain {
+            chained, outcomes, ..
+        } = chain;
         let report = reduce_units(workload, plan, self.name(), &chained, units);
         StrategyReport::new(report).with_extras(SpeculationExtras { proxy, outcomes })
     }
 
     /// One speculation task: build the proxy state for region `i`'s
-    /// boundary, record its digest, then warm and measure in place.
-    /// Shared verbatim by the plain and fault-isolated speculative
-    /// lanes — a pure function of `(i, region)`, which is what makes it
-    /// safe for the isolated lane to retry from the top.
-    #[allow(clippy::too_many_arguments)] // mirrors the chain-step tuple one-for-one
+    /// boundary and record its digest; in [`SpecForm::Full`] also warm
+    /// and measure in place from it. Shared verbatim by the plain and
+    /// fault-isolated speculative lanes — a pure function of
+    /// `(i, region, form)`, which is what makes it safe for the isolated
+    /// lane to retry from the top.
+    #[allow(clippy::too_many_arguments)] // the run's fixed context, then the unit's coordinates
     fn speculate(
         &self,
         workload: &dyn Workload,
+        plan: &RegionPlan,
         positions: &[u64],
         proxy: ProxyStateSource,
-        p: u64,
-        mult: u64,
         i: u32,
         region: &Region,
+        form: SpecForm,
     ) -> Speculation {
+        let p = workload.mem_period();
+        let mult = plan.config.work_multiplier();
         let ctx = crate::proxy::ProxyContext {
             machine: &self.machine,
             cost: &self.cost,
@@ -176,22 +160,22 @@ impl SmartsRunner {
         let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
         let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
         let digest = h.state_digest();
-        let step = chain_step(&self.cost, workload, region, at, p, mult);
-        h.warm_range(workload, step.warm);
-        // Measure in place: the shared access core mutates the
-        // hierarchy through the measured span exactly as the
-        // chain's functional replay would, so `h` ends at the next
-        // boundary's state.
-        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-        let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
-        let unit = driver.measure_region(region, &mut source);
-        let total_seconds = proxy_seconds + step.seconds + unit.seconds;
+        let ahead = (form == SpecForm::Full).then(|| {
+            let step = chain_step(&self.cost, workload, region, at, p, mult);
+            h.warm_range(workload, step.warm);
+            // Measure in place: the shared access core mutates the
+            // hierarchy through the measured span exactly as the chain's
+            // functional replay would, so `h` ends at the next boundary's
+            // state.
+            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
+            let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
+            let unit = driver.measure_region(region, &mut source);
+            (h, unit)
+        });
         Speculation {
             digest,
-            end_state: h,
-            unit,
             proxy_seconds,
-            total_seconds,
+            ahead,
         }
     }
 
@@ -212,45 +196,18 @@ impl SmartsRunner {
         policy: &FaultPolicy,
     ) -> PartialReport {
         let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
         let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region| {
-            self.speculate(workload, positions, proxy, p, mult, i, region)
+        let spec = |i: u32, region: &Region, form: SpecForm| {
+            self.speculate(workload, plan, positions, proxy, i, region, form)
         };
-
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access = 0u64;
-        let mut chained = Vec::with_capacity(plan.regions.len());
+        let mut chain = SpecChain::new(self, workload, plan, positions);
         let (outputs, quarantined) = RegionScheduler::new(workers).run_speculative_isolated(
             &plan.regions,
             policy,
             spec,
-            |i: u32, region: &Region, s: Option<Speculation>| -> RegionUnit {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                chained.push(step.seconds);
-                let unit = match s {
-                    Some(sp) if hierarchy.state_digest() == sp.digest => {
-                        hierarchy.copy_state_from(&sp.end_state);
-                        sp.unit
-                    }
-                    _ => {
-                        // Miss path — taken both for a digest mismatch
-                        // and for a degraded (faulted-out) speculation:
-                        // identical chain arithmetic either way, which
-                        // is why spec faults cannot move the report.
-                        hierarchy.warm_range(workload, step.warm);
-                        let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                        let mut source =
-                            |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                        driver.measure_region(region, &mut source)
-                    }
-                };
-                pos_access = step.next_pos;
-                unit
-            },
+            |i: u32, region: &Region, s: Option<Speculation>| chain.reconcile(i, region, s),
         );
-        let report = reduce_units_partial(workload, plan, self.name(), &chained, outputs);
+        let report = reduce_units_partial(workload, plan, self.name(), &chain.chained, outputs);
         PartialReport {
             report,
             quarantined,
@@ -258,14 +215,93 @@ impl SmartsRunner {
     }
 }
 
-/// One region's speculation outcome: the proxy digest, the end state to
-/// adopt on commit, the measured unit, and the lane's modeled seconds.
+/// One region's speculation: the proxy digest, the proxy's modeled
+/// seconds, and — for a full speculation — the end state to adopt on a
+/// commit with the unit measured from the proxy.
 struct Speculation {
     digest: u64,
-    end_state: Hierarchy,
-    unit: RegionUnit,
     proxy_seconds: f64,
-    total_seconds: f64,
+    ahead: Option<(Hierarchy, RegionUnit)>,
+}
+
+/// The speculative lane's true warm chain, advanced by the reconciler in
+/// plan order — one implementation for the plain and isolated lanes.
+struct SpecChain<'a> {
+    runner: &'a SmartsRunner,
+    workload: &'a dyn Workload,
+    /// Chain position at each region boundary (see [`chain_positions`]).
+    positions: &'a [u64],
+    p: u64,
+    mult: u64,
+    hierarchy: Hierarchy,
+    pos_access: u64,
+    /// Chained-lane seconds per reconciled unit.
+    chained: Vec<f64>,
+    /// Speculation outcome per reconciled unit.
+    outcomes: Vec<SpecUnit>,
+}
+
+impl<'a> SpecChain<'a> {
+    fn new(
+        runner: &'a SmartsRunner,
+        workload: &'a dyn Workload,
+        plan: &RegionPlan,
+        positions: &'a [u64],
+    ) -> Self {
+        SpecChain {
+            runner,
+            workload,
+            positions,
+            p: workload.mem_period(),
+            mult: plan.config.work_multiplier(),
+            hierarchy: Hierarchy::new(&runner.machine),
+            pos_access: 0,
+            chained: Vec::with_capacity(plan.regions.len()),
+            outcomes: Vec::with_capacity(plan.regions.len()),
+        }
+    }
+
+    /// Reconcile region `i`: commit on a digest match, adopting a full
+    /// speculation's end state and unit; otherwise — a miss, a light
+    /// speculation, or one that faulted out (`None`) — warm and measure
+    /// in place. The chain arithmetic is identical on every path, which
+    /// is why neither the form nor spec faults can move the report.
+    fn reconcile(&mut self, i: u32, region: &Region, s: Option<Speculation>) -> RegionUnit {
+        let SmartsRunner { timing, cost, .. } = self.runner;
+        let workload = self.workload;
+        debug_assert_eq!(self.pos_access, self.positions[i as usize]);
+        let step = chain_step(cost, workload, region, self.pos_access, self.p, self.mult);
+        self.chained.push(step.seconds);
+        let (committed, proxy_seconds, ahead) = match s {
+            Some(s) => (
+                self.hierarchy.state_digest() == s.digest,
+                s.proxy_seconds,
+                s.ahead,
+            ),
+            None => (false, 0.0, None),
+        };
+        let unit = match ahead {
+            Some((end_state, unit)) if committed => {
+                self.hierarchy.copy_state_from(&end_state);
+                unit
+            }
+            _ => {
+                self.hierarchy.warm_range(workload, step.warm);
+                let driver = UnitDriver::new(workload, timing, cost);
+                let h = &mut self.hierarchy;
+                let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
+                driver.measure_region(region, &mut source)
+            }
+        };
+        self.pos_access = step.next_pos;
+        self.outcomes.push(SpecUnit {
+            unit: i,
+            committed,
+            proxy_seconds,
+            speculative_seconds: proxy_seconds + step.seconds + unit.seconds,
+        });
+        unit
+    }
 }
 
 /// Chain access positions at each region boundary — pure plan

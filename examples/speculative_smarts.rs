@@ -8,7 +8,8 @@
 //! the guess when the true chain catches up: a match commits the
 //! speculative measurement, a mismatch re-measures from the true state.
 //! Either way the report is bitwise identical to sequential SMARTS —
-//! this example asserts it, then prints each proxy's speculation
+//! this example asserts it, and that the speculation outcomes are the
+//! same at 1 and 4 workers, then prints each proxy's speculation
 //! hit-rate and the modeled wallclock speedup it buys.
 //!
 //! Run with: `cargo run --release --example speculative_smarts`
@@ -52,6 +53,19 @@ fn main() {
         let extras = speculative
             .extras::<SpeculationExtras>()
             .expect("speculative runs attach SpeculationExtras");
+
+        // Without a helper every region is speculated light (proxy
+        // digest only, the chain measures in place), yet the commit
+        // pattern and modeled seconds must not move.
+        let unhelped = SmartsRunner::new(machine)
+            .with_speculation(proxy)
+            .run_with_workers(&workload, &plan, 1);
+        assert_eq!(sequential.report, unhelped.report);
+        assert_eq!(
+            unhelped.extras::<SpeculationExtras>(),
+            Some(extras),
+            "speculation extras must not depend on the worker count"
+        );
         let wall = speculative
             .report
             .cost
