@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cells;
 pub mod experiments;
 pub mod hierloop;
 pub mod journal;
