@@ -22,7 +22,11 @@
 //! One binary per figure lives in `src/bin/`; `run_all` executes
 //! everything and emits the EXPERIMENTS.md payload. `cargo bench` runs
 //! criterion microbenchmarks of the substrates (`benches/substrates.rs`)
-//! and regenerates every figure (`benches/figures.rs`).
+//! and regenerates every figure (`benches/figures.rs`). Two more bins
+//! gate performance: `bench_gates` (host-timed ratios between live code
+//! paths) and `bench_pr9` (fault-isolation overhead). Report equality
+//! is pinned by the golden digests in the root `tests/golden_reports.rs`,
+//! and measured end-to-end speed by the separate `perfbench` crate.
 //!
 //! Every experiment funnels its strategy runs through [`BatchExecutor`],
 //! which fans `Box<dyn SamplingStrategy>` × workload matrices out across
@@ -33,15 +37,10 @@
 
 pub mod cells;
 pub mod experiments;
-pub mod hierloop;
 pub mod journal;
 mod options;
-pub mod probeloop;
 mod runs;
-pub mod seqdriver;
 mod table;
-pub mod tileloop;
-pub mod warmloop;
 
 pub use options::ExpOptions;
 pub use runs::{

@@ -1,6 +1,6 @@
 //! Experiment options and a dependency-free CLI argument parser.
 
-use delorean_trace::Scale;
+use delorean_trace::{Scale, SPEC2006_NAMES};
 
 /// Options shared by every experiment binary.
 #[derive(Clone, Debug)]
@@ -42,7 +42,8 @@ impl ExpOptions {
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags or malformed values.
+    /// Returns a usage message on unknown flags, malformed values, or a
+    /// `--filter` that matches no SPEC CPU2006 workload name.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = ExpOptions::default();
         let mut it = args.into_iter();
@@ -78,6 +79,13 @@ impl ExpOptions {
                     ))
                 }
             }
+        }
+        if !SPEC2006_NAMES.iter().any(|name| opts.selected(name)) {
+            return Err(format!(
+                "--filter '{}' matches no workload; valid names: {}",
+                opts.filter.as_deref().unwrap_or_default(),
+                SPEC2006_NAMES.join(", ")
+            ));
         }
         Ok(opts)
     }
@@ -144,5 +152,6 @@ mod tests {
         assert!(parse(&["--scale", "giant"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
+        assert!(parse(&["--filter", "nosuch"]).is_err());
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! Both paths run the **same** inlined access core, so they are
 //! bit-identical in cache state, MSHR state and statistics — pinned by
-//! the `batched_equivalence` property tests and re-checked by the
-//! `bench_pr4` oracle.
+//! the `batched_equivalence` property tests, with the warmed state of
+//! nine workload × machine cells held to golden digests in
+//! `tests/golden_reports.rs`.
 //!
 //! Under both, each cache level's [`Cache::lookup`], [`Cache::access`]
 //! and [`Cache::fill`] run the branchless fixed-width LRU/FIFO kernel

@@ -338,10 +338,11 @@ impl SamplingStrategy for SmartsRunner {
     /// issues precisely the data accesses `(pc, line, index)` of the
     /// span through the shared access core, so the functional replay
     /// leaves the chain hierarchy bit-identical to what the classic
-    /// sequential driver's in-place measurement left behind (the PR 4
-    /// oracle in `bench_pr5` pins this). The replay is charged to the
-    /// chained lane at functional speed, face value — the honest price
-    /// a region-parallel SMARTS pays for decoupling.
+    /// sequential driver's in-place measurement left behind (the golden
+    /// SMARTS digests in `tests/golden_reports.rs`, blessed against that
+    /// driver, pin this). The replay is charged to the chained lane at
+    /// functional speed, face value — the honest price a region-parallel
+    /// SMARTS pays for decoupling.
     ///
     /// At one worker the fork and replay would be pure overhead, so the
     /// sequential path measures in place on the chain hierarchy — with

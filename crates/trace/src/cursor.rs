@@ -95,7 +95,7 @@ impl std::fmt::Debug for dyn AccessCursor + '_ {
 /// The indexed fallback cursor: regenerates each access through
 /// [`Workload::access_at`]. Correct for every workload; used by the
 /// default [`Workload::cursor`](crate::Workload::cursor) implementation
-/// and as the baseline in the `warmloop` benchmarks.
+/// and as the baseline of `bench_gates`' streaming-generation gate.
 #[derive(Debug)]
 pub struct IndexedCursor<'w, W: Workload + ?Sized> {
     workload: &'w W,

@@ -4,7 +4,9 @@
 //! streaming cursors, at any region-scheduler worker count. This is the
 //! PR 6 counterpart of the worker-count determinism contract.
 
+use delorean::cache::Hierarchy;
 use delorean::prelude::*;
+use delorean::trace::pack_workload_with;
 use std::path::PathBuf;
 
 fn strategies(machine: MachineConfig, scale: Scale) -> Vec<Box<dyn SamplingStrategy>> {
@@ -83,6 +85,36 @@ fn tiled_sources_keep_the_worker_count_determinism_contract() {
                 s.name()
             );
         }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn tiled_warming_is_bit_identical_to_in_memory() {
+    // Below the strategies: warming from the sync and the streaming tile
+    // cursor leaves the counters and full snapshot of in-memory warming.
+    let w = spec_workload("mcf", Scale::tiny(), 5).unwrap();
+    let machine = MachineConfig::for_scale(Scale::tiny());
+    let path = std::env::temp_dir().join(format!(
+        "delorean-tiled-determinism-{}-warm.dlt",
+        std::process::id()
+    ));
+    let summary = pack_workload_with(&w, 0..30_000, &path, 512).unwrap();
+    assert_eq!(summary.records, 30_000);
+
+    let mut reference = Hierarchy::new(&machine);
+    reference.warm_range(&w, 0..30_000);
+    let reference_snapshot = reference.snapshot();
+    for streaming in [false, true] {
+        let tiled = TiledTrace::open(&path).unwrap().with_streaming(streaming);
+        let mut candidate = Hierarchy::new(&machine);
+        candidate.warm_range(&tiled, 0..30_000);
+        // Snapshots quiesce outstanding MSHRs, so both sides are
+        // snapshotted before their counters are compared.
+        assert_eq!(reference_snapshot, candidate.snapshot(), "{streaming}");
+        assert_eq!(reference.stats(), candidate.stats(), "{streaming}");
+        assert_eq!(reference.l1d().stats(), candidate.l1d().stats());
+        assert_eq!(reference.llc().stats(), candidate.llc().stats());
     }
     std::fs::remove_file(&path).unwrap();
 }
