@@ -21,8 +21,8 @@
 //!
 //! One binary per figure lives in `src/bin/`; `run_all` executes
 //! everything and emits the EXPERIMENTS.md payload. `cargo bench` runs
-//! criterion microbenchmarks of the substrates (`benches/substrates.rs`)
-//! and regenerates every figure (`benches/figures.rs`). Two more bins
+//! criterion microbenchmarks of the substrates (`benches/substrates.rs`).
+//! Two more bins
 //! gate performance: `bench_gates` (host-timed ratios between live code
 //! paths) and `bench_pr9` (fault-isolation overhead). Report equality
 //! is pinned by the golden digests in the root `tests/golden_reports.rs`,
@@ -44,7 +44,7 @@ mod table;
 
 pub use options::ExpOptions;
 pub use runs::{
-    compare_all, compare_one, headline_strategies, plan_for, BatchExecutor, BenchmarkComparison,
-    MatrixRun, StrategyOutputs,
+    compare_all, headline_strategies, plan_for, BatchExecutor, BenchmarkComparison, MatrixRun,
+    StrategyOutputs,
 };
 pub use table::Table;

@@ -395,20 +395,6 @@ fn group_outputs(reports: Vec<StrategyReport>) -> StrategyOutputs {
     }
 }
 
-/// Run SMARTS, CoolSim and DeLorean on one workload at a given LLC size
-/// (paper-scale bytes), fanning the strategies out in parallel.
-pub fn compare_one(
-    opts: &ExpOptions,
-    workload: &dyn Workload,
-    plan: &RegionPlan,
-    llc_paper_bytes: u64,
-) -> StrategyOutputs {
-    let machine =
-        MachineConfig::for_scale(opts.scale).with_llc_paper_bytes(opts.scale, llc_paper_bytes);
-    let strategies = headline_strategies(opts.scale, machine);
-    group_outputs(BatchExecutor::new().run_strategies(&strategies, &workload, plan))
-}
-
 /// Run the three-strategy comparison over the (filtered) suite: the full
 /// strategy × workload matrix through the batch executor.
 pub fn compare_all(opts: &ExpOptions, llc_paper_bytes: u64) -> Vec<BenchmarkComparison> {
@@ -546,14 +532,29 @@ mod tests {
             self.inner.name()
         }
 
-        fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
+        fn run_with_workers(
+            &self,
+            workload: &dyn Workload,
+            plan: &RegionPlan,
+            workers: usize,
+        ) -> StrategyReport {
             let probe = &*self.in_flight;
             let regions = &plan.regions;
             let sched = delorean_sampling::RegionScheduler::new(4);
-            let units = sched.run_units(regions, |_, _| probe.leaf());
-            let seeded = sched.run_seeded(regions, |_, _| probe.leaf(), |_, _, s| s + probe.leaf());
-            let spec =
-                sched.run_speculative(regions, |_, _, _| probe.leaf(), |_, _, s| s + probe.leaf());
+            let leaves = |(slots, _): delorean_sampling::Slots<u64>| slots.into_iter().flatten();
+            let units = leaves(sched.run_units(regions, None, |_, _| probe.leaf()));
+            let seeded = leaves(sched.run_seeded(
+                regions,
+                None,
+                |_, _| probe.leaf(),
+                |_, _, s| s + probe.leaf(),
+            ));
+            let spec = leaves(sched.run_speculative(
+                regions,
+                None,
+                |_, _, _| probe.leaf(),
+                |_, _, s| s.unwrap_or(0) + probe.leaf(),
+            ));
             let nested: Vec<u64> = regions
                 .par_iter()
                 .map(|_| {
@@ -562,11 +563,11 @@ mod tests {
                 })
                 .collect();
             let n = regions.len() as u64;
-            assert_eq!(units.iter().sum::<u64>(), n);
-            assert_eq!(seeded.iter().sum::<u64>(), 2 * n);
-            assert_eq!(spec.iter().sum::<u64>(), 2 * n);
+            assert_eq!(units.sum::<u64>(), n);
+            assert_eq!(seeded.sum::<u64>(), 2 * n);
+            assert_eq!(spec.sum::<u64>(), 2 * n);
             assert_eq!(nested.iter().sum::<u64>(), n * n);
-            self.inner.run(workload, plan)
+            self.inner.run_with_workers(workload, plan, workers)
         }
     }
 

@@ -16,7 +16,6 @@ use crate::stats::TtStats;
 use delorean_cache::MachineConfig;
 use delorean_cpu::TimingConfig;
 use delorean_sampling::{RegionPlan, RegionReport, SimulationReport};
-use delorean_trace::fault::{self, FaultPolicy, FaultSite, UnitFailure};
 use delorean_trace::Workload;
 use delorean_virt::{CostModel, HostClock, RunCost};
 use rayon::prelude::*;
@@ -138,86 +137,7 @@ impl DesignSpaceExplorer {
         }
     }
 
-    /// Like [`run`](DesignSpaceExplorer::run), with per-analyst panic
-    /// isolation.
-    ///
-    /// The shared warm-up is one guarded, retryable unit (it is a pure
-    /// function of the workload and plan); if it exhausts its budget the
-    /// whole exploration is quarantined behind it. Each analyst is then
-    /// an independent guarded unit (indices follow machine order):
-    /// faulted analysts retry from the top, and exhausted ones leave a
-    /// `None` slot so the surviving sweep keeps its machine indexing. A
-    /// clean isolated run produces outputs byte-identical to
-    /// [`run`](DesignSpaceExplorer::run)'s.
-    pub fn run_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        analyst_machines: &[MachineConfig],
-        policy: &FaultPolicy,
-    ) -> DsePartial {
-        assert!(
-            !analyst_machines.is_empty(),
-            "need at least one analyst configuration"
-        );
-        for m in analyst_machines {
-            assert_eq!(
-                m.hierarchy.l1d, self.base_machine.hierarchy.l1d,
-                "analyst machines must share the base L1-D geometry"
-            );
-        }
-        let warmup = match fault::run_unit_guarded(0, policy, || self.warm_all(workload, plan)) {
-            Ok(w) => w,
-            Err(failure) => {
-                return DsePartial {
-                    outputs: analyst_machines.iter().map(|_| None).collect(),
-                    warming_seconds: 0.0,
-                    analyst_seconds: analyst_machines.iter().map(|_| None).collect(),
-                    quarantined: vec![failure],
-                }
-            }
-        };
-        let indexed: Vec<(u32, &MachineConfig)> = analyst_machines
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i as u32, m))
-            .collect();
-        let per_machine: Vec<Result<(DeLoreanOutput, f64), UnitFailure>> = indexed
-            .par_iter()
-            .map(|&(unit, machine)| {
-                fault::run_unit_guarded(unit, policy, || {
-                    fault::hit(FaultSite::UnitEntry, u64::from(unit));
-                    self.analyst_output(workload, plan, &warmup, machine)
-                })
-            })
-            .collect();
-        let mut outputs = Vec::with_capacity(per_machine.len());
-        let mut analyst_seconds = Vec::with_capacity(per_machine.len());
-        let mut quarantined = Vec::new();
-        for result in per_machine {
-            match result {
-                Ok((out, seconds)) => {
-                    outputs.push(Some(out));
-                    analyst_seconds.push(Some(seconds));
-                }
-                Err(failure) => {
-                    outputs.push(None);
-                    analyst_seconds.push(None);
-                    quarantined.push(failure);
-                }
-            }
-        }
-        DsePartial {
-            outputs,
-            warming_seconds: warmup.warming_seconds(),
-            analyst_seconds,
-            quarantined,
-        }
-    }
-
-    /// Run the shared Scout + Explorer warm-up over every region. A pure
-    /// function of the workload and plan, so the isolated path may retry
-    /// it as a whole.
+    /// Run the shared Scout + Explorer warm-up over every region.
     fn warm_all(&self, workload: &dyn Workload, plan: &RegionPlan) -> DseWarmup {
         let mult = plan.config.work_multiplier();
         let n_explorers = self.config.explorer_windows_instrs.len();
@@ -247,9 +167,8 @@ impl DesignSpaceExplorer {
     }
 
     /// Evaluate one analyst machine against the shared warm-up: the
-    /// per-machine unit body shared by the plain and fault-isolated
-    /// fan-outs. Deterministic in `(machine, warmup)`, and retryable
-    /// because the artifacts are only read.
+    /// per-machine unit body of the fan-out. Deterministic in
+    /// `(machine, warmup)`; the artifacts are only read.
     fn analyst_output(
         &self,
         workload: &dyn Workload,
@@ -321,30 +240,6 @@ impl DseWarmup {
             // lint:allow(float-accum): explorer clocks are indexed by pipeline stage, a fixed order independent of scheduling
             .sum();
         self.scout_clock.seconds() + explorer
-    }
-}
-
-/// Result of a fault-isolated design-space exploration: slots keyed by
-/// machine index so the sweep's shape survives quarantines.
-#[derive(Debug)]
-pub struct DsePartial {
-    /// One completed output per analyst machine, `None` where the
-    /// analyst was quarantined (or the warm-up itself failed).
-    pub outputs: Vec<Option<DeLoreanOutput>>,
-    /// Host seconds spent in the shared warming passes (0 when the
-    /// warm-up was quarantined).
-    pub warming_seconds: f64,
-    /// Host seconds per analyst, aligned with `outputs`.
-    pub analyst_seconds: Vec<Option<f64>>,
-    /// Units that exhausted their retry budget, in machine order (or the
-    /// single warm-up failure).
-    pub quarantined: Vec<UnitFailure>,
-}
-
-impl DsePartial {
-    /// True when every analyst completed.
-    pub fn is_complete(&self) -> bool {
-        self.quarantined.is_empty()
     }
 }
 

@@ -265,55 +265,37 @@ impl DeLoreanRunner {
     /// ([`run_pipelined`](crate::pipeline::run_pipelined)) — must
     /// reproduce.
     pub fn run_serial(&self, workload: &dyn Workload, plan: &RegionPlan) -> DeLoreanOutput {
-        self.run_at(workload, plan, 1)
+        self.execute(workload, plan, 1, None).0
     }
 
-    /// Run region-parallel at an explicit worker count. Time-traveling
-    /// makes each region's Scout → Explorer chain → Analyst an
-    /// independent unit (`prev_end` — the previous region's detailed
-    /// end — comes from the *plan*, not from execution state), so units
-    /// fan out across workers and reduce in plan order. The report,
-    /// statistics and DSW counts are byte-identical for every
-    /// `workers` value.
-    pub fn run_at(
+    /// The one execution body behind every entry point, unguarded or
+    /// under a fault `guard`. Time-traveling makes each region's
+    /// Scout → Explorer chain → Analyst an independent unit (`prev_end`
+    /// — the previous region's detailed end — comes from the *plan*, not
+    /// from execution state), so units fan out across `workers` and
+    /// reduce in plan order: the report, statistics and DSW counts are
+    /// byte-identical for every worker count. Under a guard each unit is
+    /// retried from the top and quarantined on budget exhaustion; a
+    /// clean guarded run reduces exactly the same unit sequence.
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-    ) -> DeLoreanOutput {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_output(workload, plan));
-        self.reduce_outputs(workload, plan, units.into_iter().map(Some).collect())
-    }
-
-    /// Run region-parallel with per-unit panic isolation: each region's
-    /// Scout → Explorers → Analyst chain is guarded, retried from the
-    /// top (it is a pure function of `(index, region)` — `prev_end`
-    /// comes from the plan) and quarantined on budget exhaustion. A
-    /// clean run reduces exactly the same unit sequence as [`run_at`],
-    /// so its output is byte-identical.
-    ///
-    /// [`run_at`]: DeLoreanRunner::run_at
-    pub fn run_at_isolated(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        workers: usize,
-        policy: &FaultPolicy,
+        guard: Option<&FaultPolicy>,
     ) -> (DeLoreanOutput, Vec<UnitFailure>) {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
+        let (units, quarantined) = RegionScheduler::new(workers).run_units(
             &plan.regions,
-            policy,
+            guard,
             self.region_output(workload, plan),
         );
         (self.reduce_outputs(workload, plan, units), quarantined)
     }
 
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths: Scout → Explorer chain → Analyst over one region, with all
-    /// pass clocks local to the unit. A pure function of
-    /// `(index, region)`, so the isolated path may retry it from the
-    /// top.
+    /// The per-region unit body: Scout → Explorer chain → Analyst over
+    /// one region, with all pass clocks local to the unit. A pure
+    /// function of `(index, region)`, so a guarded unit may retry it
+    /// from the top.
     fn region_output<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -426,7 +408,7 @@ impl DeLoreanRunner {
 }
 
 /// One region unit's complete output, reduced in plan order by
-/// [`DeLoreanRunner::run_at`].
+/// [`DeLoreanRunner`]'s execution body.
 struct RegionOutput {
     report: RegionReport,
     artifacts: RegionArtifacts,
@@ -441,30 +423,26 @@ impl SamplingStrategy for DeLoreanRunner {
         "delorean"
     }
 
-    /// Run region-parallel at the configured worker count (see
+    /// Run region-parallel at `workers` (the provided
+    /// [`run`](SamplingStrategy::run) uses the configured count, see
     /// [`DeLoreanRunner::with_region_workers`]). The time-traveling
     /// statistics and DSW counters ride along as [`DeLoreanExtras`];
     /// recover the full [`DeLoreanOutput`] with
     /// `TryFrom<StrategyReport>`. The §3.2-faithful pass pipeline is
     /// still available as
     /// [`run_pipelined`](crate::pipeline::run_pipelined).
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_at(workload, plan, self.workers).into()
-    }
-
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        self.run_at(workload, plan, workers).into()
+        self.execute(workload, plan, workers, None).0.into()
     }
 
-    /// Region-parallel with per-unit panic isolation (see
-    /// [`DeLoreanRunner::run_at_isolated`]); the time-traveling extras
-    /// are dropped here — harness code that needs partial statistics
-    /// should call `run_at_isolated` directly.
+    /// Region-parallel with per-unit panic isolation; the
+    /// time-traveling extras are dropped here, as partial reports carry
+    /// no extras.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -472,7 +450,7 @@ impl SamplingStrategy for DeLoreanRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        let (out, quarantined) = self.run_at_isolated(workload, plan, workers, policy);
+        let (out, quarantined) = self.execute(workload, plan, workers, Some(policy));
         PartialReport {
             report: out.report,
             quarantined,

@@ -69,7 +69,7 @@ pub fn crate_kind(package: &str) -> CrateKind {
 }
 
 /// The crates whose float accumulation must flow through the fixed
-/// summation-tree helpers (`sampling::driver::reduce_units` feeding
+/// summation-tree helpers (`sampling::reduce_region_units` feeding
 /// `virt::HostClock`/`RunCost`): everything that aggregates *across*
 /// region units. `delorean_statmodel` is exempt — its float math is
 /// per-access model arithmetic evaluated in a fixed sequential order,

@@ -135,7 +135,7 @@ impl Rule for NoWallclock {
 }
 
 /// `float-accum`: cross-unit float accumulation must flow through the
-/// plan-ordered summation helpers (`sampling::driver::reduce_units`
+/// plan-ordered summation helpers (`sampling::reduce_region_units`
 /// into `virt::HostClock`/`RunCost`), where the fold order is fixed
 /// regardless of worker count. Detects compound assignment to
 /// identifiers declared `f32`/`f64` in the same file, plus
@@ -176,7 +176,7 @@ impl Rule for FloatAccum {
                     t,
                     format!(
                         "compound float accumulation into `{}`; route cross-unit sums \
-                         through the plan-ordered reduce_units/HostClock helpers or waive \
+                         through the plan-ordered reduce_region_units/HostClock helpers or waive \
                          with a justification that the fold order is worker-count-invariant",
                         t.text
                     ),

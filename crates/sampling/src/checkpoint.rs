@@ -15,15 +15,15 @@
 //! evaluation-run speed including checkpoint load time.
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
+use crate::driver::{reduce_region_units, UnitDriver};
 use crate::proxy::{ProxyStateSource, SpeculationExtras};
 use crate::report::SimulationReport;
 use crate::scheduler::{RegionScheduler, SpecForm};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, HierarchySnapshot, MachineConfig};
 use delorean_cpu::TimingConfig;
-use delorean_trace::fault::{self, FaultPolicy};
-use delorean_trace::{MemAccess, Workload};
+use delorean_trace::fault::{self, FaultPolicy, UnitFailure};
+use delorean_trace::Workload;
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 
 /// The checkpoints of one (workload, plan, machine) combination.
@@ -108,27 +108,7 @@ impl CheckpointWarmingRunner {
     /// This costs as much as one SMARTS run minus the detailed regions —
     /// checkpointing only pays off when the snapshots are reused.
     pub fn prepare(&self, workload: &dyn Workload, plan: &RegionPlan) -> CheckpointSet {
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut clock = HostClock::new();
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut pos_access = 0u64;
-        let mut snapshots = Vec::with_capacity(plan.regions.len());
-        for region in &plan.regions {
-            let warm_end_access = region.warming.start / p;
-            let span = warm_end_access.saturating_sub(pos_access);
-            clock.charge(
-                self.cost
-                    .instr_seconds(WorkKind::Functional, span * p * mult),
-            );
-            hierarchy.warm_range(workload, pos_access..warm_end_access);
-            snapshots.push(hierarchy.snapshot());
-            pos_access = warm_end_access;
-        }
-        CheckpointSet {
-            snapshots,
-            preparation_seconds: clock.seconds(),
-        }
+        self.prepare_chain(workload, plan, None, 1).0
     }
 
     /// The preparation run through the **speculative warm lane**: the
@@ -137,15 +117,16 @@ impl CheckpointWarmingRunner {
     /// proxy of the chain state at its boundary and digests it; the
     /// reconciler advances the true state and commits on a digest match.
     ///
-    /// As in [`SmartsRunner::run_speculative_with_workers`](crate::SmartsRunner::run_speculative_with_workers),
+    /// As in SMARTS's speculative lane
+    /// ([`SmartsRunner::with_speculation`](crate::SmartsRunner::with_speculation)),
     /// speculation runs only ahead of the chain. A helper that claims a
     /// region first also warms the proxy over the region's span and
     /// snapshots it, and a commit adopts that snapshot and end state. A
     /// region the reconciler reaches first gets only the proxy digest,
     /// and the chain warms and snapshots in place exactly like
-    /// [`prepare`](Self::prepare). Without helpers the lane therefore
-    /// costs `prepare` plus the proxy digests, and its snapshots equal
-    /// `prepare`'s byte for byte.
+    /// [`prepare`](Self::prepare) — the same chain step. Without helpers
+    /// the lane therefore costs `prepare` plus the proxy digests, and its
+    /// snapshots equal `prepare`'s byte for byte.
     ///
     /// One wrinkle: [`Hierarchy::snapshot`] drains the MSHRs, so the
     /// chain state at every boundary after the first is post-drain. The
@@ -167,6 +148,20 @@ impl CheckpointWarmingRunner {
         proxy: ProxyStateSource,
         workers: usize,
     ) -> (CheckpointSet, SpeculationExtras) {
+        let (set, outcomes) = self.prepare_chain(workload, plan, Some(proxy), workers);
+        (set, SpeculationExtras { proxy, outcomes })
+    }
+
+    /// The one preparation body: walk the warm chain in plan order,
+    /// snapshotting at each region's warming start — in place, or
+    /// reconciling `proxy` speculations when one is given.
+    fn prepare_chain(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        proxy: Option<ProxyStateSource>,
+        workers: usize,
+    ) -> (CheckpointSet, Vec<SpecUnit>) {
         let p = workload.mem_period();
         let mult = plan.config.work_multiplier();
         let mut positions = Vec::with_capacity(plan.regions.len());
@@ -184,84 +179,104 @@ impl CheckpointWarmingRunner {
             ahead: Option<(Hierarchy, HierarchySnapshot)>,
         }
 
-        let ctx = crate::proxy::ProxyContext {
-            machine: &self.machine,
-            cost: &self.cost,
-            workload,
-            p,
-            mult,
-        };
-        let spec = |i: u32, region: &Region, form: SpecForm| -> Speculation {
-            let at = positions[i as usize];
-            let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
-            let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
-            // The chain drained its MSHRs when it snapshotted at `at`.
-            h.drain_mshrs();
-            let digest = h.state_digest();
-            let ahead = (form == SpecForm::Full).then(|| {
-                h.warm_range(workload, at..region.warming.start / p);
-                let snapshot = h.snapshot();
-                (h, snapshot)
-            });
-            Speculation {
-                digest,
-                proxy_seconds,
-                ahead,
-            }
-        };
-
         let mut hierarchy = Hierarchy::new(&self.machine);
         let mut pos_access = 0u64;
         let mut clock = HostClock::new();
         let mut outcomes: Vec<SpecUnit> = Vec::with_capacity(plan.regions.len());
-        let snapshots = RegionScheduler::new(workers).run_speculative(
-            &plan.regions,
-            spec,
-            |i: u32, region: &Region, s: Speculation| -> HierarchySnapshot {
-                debug_assert_eq!(pos_access, positions[i as usize]);
-                let warm_end = region.warming.start / p;
-                let span = warm_end.saturating_sub(pos_access);
-                let seconds = self
-                    .cost
-                    .instr_seconds(WorkKind::Functional, span * p * mult);
-                clock.charge(seconds);
-                // drain_mshrs is idempotent on the already-drained chain
-                // (and a no-op on the cold start), so digesting after it
-                // matches the speculation's comparison point exactly.
-                hierarchy.drain_mshrs();
-                let committed = hierarchy.state_digest() == s.digest;
-                let snapshot = match s.ahead {
-                    Some((end_state, snapshot)) if committed => {
-                        hierarchy.copy_state_from(&end_state);
-                        snapshot
-                    }
-                    _ => {
-                        hierarchy.warm_range(workload, pos_access..warm_end);
-                        hierarchy.snapshot()
+        // The chain step: charge the warm span, then commit on a digest
+        // match (adopting a full speculation's end state and snapshot)
+        // or — on a miss, a light speculation, or none at all — warm and
+        // snapshot in place.
+        let mut step = |i: u32, region: &Region, s: Option<Speculation>| -> HierarchySnapshot {
+            debug_assert_eq!(pos_access, positions[i as usize]);
+            let warm_end = region.warming.start / p;
+            let span = warm_end.saturating_sub(pos_access);
+            let seconds = self
+                .cost
+                .instr_seconds(WorkKind::Functional, span * p * mult);
+            clock.charge(seconds);
+            let (committed, proxy_seconds, ahead) = match s {
+                Some(s) => {
+                    // drain_mshrs is idempotent on the already-drained
+                    // chain (and a no-op on the cold start), so digesting
+                    // after it matches the speculation's comparison point.
+                    hierarchy.drain_mshrs();
+                    (
+                        hierarchy.state_digest() == s.digest,
+                        s.proxy_seconds,
+                        s.ahead,
+                    )
+                }
+                None => (false, 0.0, None),
+            };
+            let snapshot = match ahead {
+                Some((end_state, snapshot)) if committed => {
+                    hierarchy.copy_state_from(&end_state);
+                    snapshot
+                }
+                _ => {
+                    hierarchy.warm_range(workload, pos_access..warm_end);
+                    hierarchy.snapshot()
+                }
+            };
+            pos_access = warm_end;
+            outcomes.push(SpecUnit {
+                unit: i,
+                committed,
+                proxy_seconds,
+                speculative_seconds: proxy_seconds + seconds,
+            });
+            snapshot
+        };
+
+        let snapshots = match proxy {
+            None => (0..)
+                .zip(&plan.regions)
+                .map(|(i, region)| step(i, region, None))
+                .collect(),
+            Some(proxy) => {
+                let ctx = crate::proxy::ProxyContext {
+                    machine: &self.machine,
+                    cost: &self.cost,
+                    workload,
+                    p,
+                    mult,
+                };
+                let spec = |i: u32, region: &Region, form: SpecForm| -> Speculation {
+                    let at = positions[i as usize];
+                    let prev = if i == 0 { 0 } else { positions[i as usize - 1] };
+                    let (mut h, proxy_seconds) = proxy.build(&ctx, at, prev);
+                    // The chain drained its MSHRs when it snapshotted at `at`.
+                    h.drain_mshrs();
+                    let digest = h.state_digest();
+                    let ahead = (form == SpecForm::Full).then(|| {
+                        h.warm_range(workload, at..region.warming.start / p);
+                        let snapshot = h.snapshot();
+                        (h, snapshot)
+                    });
+                    Speculation {
+                        digest,
+                        proxy_seconds,
+                        ahead,
                     }
                 };
-                pos_access = warm_end;
-                outcomes.push(SpecUnit {
-                    unit: i,
-                    committed,
-                    proxy_seconds: s.proxy_seconds,
-                    speculative_seconds: s.proxy_seconds + seconds,
-                });
-                snapshot
-            },
-        );
-        (
-            CheckpointSet {
-                snapshots,
-                preparation_seconds: clock.seconds(),
-            },
-            SpeculationExtras { proxy, outcomes },
-        )
+                let (snapshots, _) =
+                    RegionScheduler::new(workers).run_speculative(&plan.regions, None, spec, step);
+                snapshots.into_iter().flatten().collect()
+            }
+        };
+        let set = CheckpointSet {
+            snapshots,
+            preparation_seconds: clock.seconds(),
+        };
+        (set, outcomes)
     }
 
     /// An evaluation run from existing checkpoints: load, detailed-warm,
-    /// simulate. Accuracy is identical to SMARTS by construction (the
-    /// state is the real functional-warming state).
+    /// simulate, region-parallel at the configured worker count (every
+    /// region unit restores its own snapshot into its own hierarchy).
+    /// Accuracy is identical to SMARTS by construction (the state is the
+    /// real functional-warming state).
     ///
     /// # Panics
     ///
@@ -272,44 +287,66 @@ impl CheckpointWarmingRunner {
         workload: &dyn Workload,
         plan: &RegionPlan,
     ) -> SimulationReport {
-        self.run_with_at(checkpoints, workload, plan, self.workers)
+        self.evaluate(checkpoints, workload, plan, self.workers, None)
+            .0
+            .into_report()
     }
 
-    /// [`run_with`](CheckpointWarmingRunner::run_with) at an explicit
-    /// region-scheduler worker count: every region unit restores its own
-    /// snapshot into its own hierarchy, so evaluation fans out freely.
+    /// The one execution body behind every entry point: prepare (a
+    /// sequential warm chain), then evaluate (region-parallel at
+    /// `workers`), unguarded or under a fault `guard`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint count does not match the plan.
-    pub fn run_with_at(
+    /// Preparation runs over a locally owned hierarchy — a pure function
+    /// of the workload and plan — so under a guard the *whole* prepare
+    /// step is one retryable unit; if it never completes, no region has a
+    /// snapshot and the run is quarantined behind unit 0. Evaluation
+    /// units restore independent snapshots and are retried and
+    /// quarantined individually.
+    fn execute(
+        &self,
+        workload: &dyn Workload,
+        plan: &RegionPlan,
+        workers: usize,
+        guard: Option<&FaultPolicy>,
+    ) -> (StrategyReport, Vec<UnitFailure>) {
+        let checkpoints = match guard {
+            None => self.prepare(workload, plan),
+            Some(policy) => {
+                match fault::run_unit_guarded(0, policy, || self.prepare(workload, plan)) {
+                    Ok(set) => set,
+                    Err(failure) => {
+                        let lost = PartialReport::whole_run_lost(workload, self.name(), failure);
+                        return (lost.report.into(), lost.quarantined);
+                    }
+                }
+            }
+        };
+        let (report, quarantined) = self.evaluate(&checkpoints, workload, plan, workers, guard);
+        let extras = CheckpointExtras {
+            storage_bytes: checkpoints.storage_bytes(),
+            preparation_seconds: checkpoints.preparation_seconds,
+        };
+        (report.with_extras(extras), quarantined)
+    }
+
+    /// Evaluate `checkpoints` over the plan: each region unit restores
+    /// its snapshot into a fresh hierarchy, then detailed-warms and
+    /// measures — a pure function of `(index, region)` given the
+    /// checkpoint set, so a guarded unit may retry from the top.
+    fn evaluate(
         &self,
         checkpoints: &CheckpointSet,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-    ) -> SimulationReport {
+        guard: Option<&FaultPolicy>,
+    ) -> (StrategyReport, Vec<UnitFailure>) {
         assert_eq!(
             checkpoints.len(),
             plan.regions.len(),
             "checkpoint/plan mismatch"
         );
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.eval_unit(checkpoints, workload));
-        reduce_units(workload, plan, "checkpoint", &[], units)
-    }
-
-    /// The per-region evaluation unit shared by the plain and
-    /// fault-isolated paths: restore the region's snapshot into a fresh
-    /// hierarchy, then detailed-warm and measure — a pure function of
-    /// `(index, region)` given the checkpoint set, so the isolated path
-    /// may retry it from the top.
-    fn eval_unit<'a>(
-        &'a self,
-        checkpoints: &'a CheckpointSet,
-        workload: &'a dyn Workload,
-    ) -> impl Fn(u32, &Region) -> RegionUnit + Sync + 'a {
-        move |i: u32, region: &Region| {
+        let unit = |i: u32, region: &Region| {
             let mut driver = UnitDriver::new(workload, &self.timing, &self.cost);
             let snap = &checkpoints.snapshots[i as usize];
             // Load the checkpoint from storage.
@@ -317,9 +354,12 @@ impl CheckpointWarmingRunner {
             let mut hierarchy = Hierarchy::new(&self.machine);
             hierarchy.restore(snap);
             // Detailed warming + region on the restored state.
-            let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-            driver.measure_region(region, &mut source)
-        }
+            driver.measure_on(region, &mut hierarchy)
+        };
+        let (units, quarantined) =
+            RegionScheduler::new(workers).run_units(&plan.regions, guard, unit);
+        let report = reduce_region_units(workload.name(), plan, self.name(), &[], units);
+        (report.into(), quarantined)
     }
 }
 
@@ -328,38 +368,23 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         "checkpoint"
     }
 
-    /// Prepare and evaluate in one call. The returned report covers the
+    /// Prepare (sequential warm chain) and evaluate (region-parallel at
+    /// `workers`) in one call. The returned report covers the
     /// **evaluation run only** (checkpointing's selling point); the
     /// preparation cost and storage footprint — the trade-off against
     /// statistical warming — ride along as [`CheckpointExtras`].
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
-    /// Prepare (sequential warm chain) and evaluate (region-parallel at
-    /// `workers`) in one call; see [`SamplingStrategy::run`] for the
-    /// report/extras split.
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let checkpoints = self.prepare(workload, plan);
-        let report = self.run_with_at(&checkpoints, workload, plan, workers);
-        StrategyReport::new(report).with_extras(CheckpointExtras {
-            storage_bytes: checkpoints.storage_bytes(),
-            preparation_seconds: checkpoints.preparation_seconds,
-        })
+        self.execute(workload, plan, workers, None).0
     }
 
-    /// Checkpointed warming with per-unit panic isolation.
-    ///
-    /// Preparation is a sequential warm chain over a locally owned
-    /// hierarchy — a pure function of the workload and plan — so the
-    /// *whole* prepare step is one guarded, retryable unit. Once the
-    /// checkpoint set exists, evaluation units restore independent
-    /// snapshots and are retried/quarantined individually.
+    /// Checkpointed warming with per-unit panic isolation: the whole
+    /// preparation is one guarded, retryable unit, and each evaluation
+    /// unit is retried and quarantined individually.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -367,32 +392,7 @@ impl SamplingStrategy for CheckpointWarmingRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        let checkpoints = match fault::run_unit_guarded(0, policy, || self.prepare(workload, plan))
-        {
-            Ok(set) => set,
-            Err(failure) => {
-                // Preparation never completed: no region has a snapshot,
-                // so the whole sweep is quarantined behind unit 0.
-                let report = SimulationReport {
-                    workload: workload.name().to_string(),
-                    strategy: self.name().to_string(),
-                    ..Default::default()
-                };
-                return PartialReport {
-                    report,
-                    quarantined: vec![failure],
-                };
-            }
-        };
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
-            &plan.regions,
-            policy,
-            self.eval_unit(&checkpoints, workload),
-        );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
+        self.execute(workload, plan, workers, Some(policy)).into()
     }
 
     fn internal_parallelism(&self) -> usize {

@@ -19,8 +19,7 @@
 //! CoolSim's CPI overestimation for soplex and GemsFDTD in Figures 9/10).
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
-use crate::scheduler::RegionScheduler;
+use crate::driver::{execute_independent, units_in_span, RegionUnit, UnitDriver};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig, MemLevel};
 use delorean_cpu::TimingConfig;
@@ -138,11 +137,11 @@ impl CoolSimRunner {
         self
     }
 
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths. A pure function of `(index, region)` — each call owns its
-    /// watchpoint set, pending-sample map, per-PC profiles and lukewarm
-    /// hierarchy outright, and sampling decisions come from a stateless
-    /// counter RNG — so the isolated path may retry it from the top.
+    /// The per-region unit body. A pure function of `(index, region)` —
+    /// each call owns its watchpoint set, pending-sample map, per-PC
+    /// profiles and lukewarm hierarchy outright, and sampling decisions
+    /// come from a stateless counter RNG — so a guarded unit may retry
+    /// it from the top.
     fn region_unit<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -243,10 +242,6 @@ impl SamplingStrategy for CoolSimRunner {
         "coolsim"
     }
 
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
     /// CoolSim under the region scheduler: every region is one fully
     /// independent unit — it owns its watchpoint set, pending-sample
     /// map, per-PC profiles and lukewarm hierarchy outright, and the
@@ -258,9 +253,8 @@ impl SamplingStrategy for CoolSimRunner {
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_unit(workload, plan));
-        reduce_units(workload, plan, self.name(), &[], units).into()
+        let unit = self.region_unit(workload, plan);
+        execute_independent(workload, plan, self.name(), workers, None, unit).0
     }
 
     /// CoolSim with per-unit panic isolation: the same independent unit
@@ -273,15 +267,8 @@ impl SamplingStrategy for CoolSimRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
-            &plan.regions,
-            policy,
-            self.region_unit(workload, plan),
-        );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
+        let unit = self.region_unit(workload, plan);
+        execute_independent(workload, plan, self.name(), workers, Some(policy), unit).into()
     }
 
     /// CoolSim decomposes fully: the unit body is a pure function of
@@ -293,15 +280,7 @@ impl SamplingStrategy for CoolSimRunner {
         plan: &RegionPlan,
         span: std::ops::Range<u32>,
     ) -> Option<Vec<RegionUnit>> {
-        let hi = (span.end as usize).min(plan.regions.len());
-        let lo = (span.start as usize).min(hi);
-        let unit = self.region_unit(workload, plan);
-        Some(
-            plan.regions[lo..hi]
-                .iter()
-                .map(|r| unit(r.index, r))
-                .collect(),
-        )
+        Some(units_in_span(plan, span, self.region_unit(workload, plan)))
     }
 
     fn internal_parallelism(&self) -> usize {

@@ -7,7 +7,7 @@
 //! and record the region result. Under the region-parallel runtime
 //! ([`RegionScheduler`](crate::RegionScheduler)) that skeleton is one
 //! **unit**: [`UnitDriver`] owns a single region's clock and result, and
-//! [`reduce_units`] folds the finished units back into a
+//! [`reduce_region_units`] folds the finished units back into a
 //! [`SimulationReport`] **in plan order** — so the assembled report (its
 //! `f64` cost sums included) is bitwise identical for every worker
 //! count, and the sequential driver is simply the scheduler at one
@@ -16,9 +16,14 @@
 use crate::config::{Region, RegionPlan};
 use crate::report::{RegionReport, SimulationReport};
 use crate::run_region_detailed;
+use crate::scheduler::RegionScheduler;
+use crate::strategy::StrategyReport;
+use delorean_cache::Hierarchy;
 use delorean_cpu::{OutcomeSource, TimingConfig};
-use delorean_trace::Workload;
+use delorean_trace::fault::{FaultPolicy, UnitFailure};
+use delorean_trace::{MemAccess, Workload};
 use delorean_virt::{CostModel, HostClock, RunCost, WorkKind};
+use std::ops::Range;
 
 /// Drives one region unit: its parallel-lane cost clock, the detailed
 /// simulation of its region, and the unit result.
@@ -74,6 +79,47 @@ impl<'a> UnitDriver<'a> {
             collected: self.collected,
         }
     }
+
+    /// [`measure_region`](Self::measure_region) with every data access
+    /// simulated on `hierarchy`, which ends in the state the region's
+    /// accesses leave behind.
+    pub fn measure_on(self, region: &Region, hierarchy: &mut Hierarchy) -> RegionUnit {
+        let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
+        self.measure_region(region, &mut source)
+    }
+}
+
+/// The one execution body of a strategy whose regions are fully
+/// independent units (CoolSim, MRRL): fan `unit` out under the region
+/// scheduler at `workers`, optionally fault-guarded, and fold the
+/// completed units in plan order.
+pub(crate) fn execute_independent(
+    workload: &dyn Workload,
+    plan: &RegionPlan,
+    strategy: &str,
+    workers: usize,
+    guard: Option<&FaultPolicy>,
+    unit: impl Fn(u32, &Region) -> RegionUnit + Sync,
+) -> (StrategyReport, Vec<UnitFailure>) {
+    let (units, quarantined) = RegionScheduler::new(workers).run_units(&plan.regions, guard, unit);
+    let report = reduce_region_units(workload.name(), plan, strategy, &[], units);
+    (report.into(), quarantined)
+}
+
+/// The units of the plan regions in `span` (clamped to the plan), each
+/// a standalone evaluation of `unit` — the shard lease surface of the
+/// fully independent strategies.
+pub(crate) fn units_in_span(
+    plan: &RegionPlan,
+    span: Range<u32>,
+    unit: impl Fn(u32, &Region) -> RegionUnit,
+) -> Vec<RegionUnit> {
+    let hi = (span.end as usize).min(plan.regions.len());
+    let lo = (span.start as usize).min(hi);
+    plan.regions[lo..hi]
+        .iter()
+        .map(|r| unit(r.index, r))
+        .collect()
 }
 
 /// The finished output of one region unit.
@@ -96,74 +142,28 @@ pub struct RegionUnit {
 }
 
 /// Fold finished units (plus optional per-unit chained-lane seconds)
-/// into the final report, in plan order.
+/// into the final report, in plan order — the one fold every strategy
+/// built on [`RegionUnit`]s shares, in process or across the shard
+/// layer.
 ///
 /// `chained` holds the sequential carried-state lane's per-unit cost
 /// (empty for strategies whose regions are fully independent). The fold
 /// charges `chained[i]` then `units[i].seconds` for each region in
 /// order, so the resulting pass total has one fixed `f64` summation
-/// tree regardless of how the units were scheduled.
-pub(crate) fn reduce_units(
-    workload: &dyn Workload,
-    plan: &RegionPlan,
-    strategy: &str,
-    chained: &[f64],
-    units: Vec<RegionUnit>,
-) -> SimulationReport {
-    reduce_units_partial(
-        workload,
-        plan,
-        strategy,
-        chained,
-        units.into_iter().map(Some).collect(),
-    )
-}
-
-/// [`reduce_units`] over a plan with **quarantined holes**: `None`
-/// slots (units the fault-isolated scheduler gave up on) are skipped
-/// entirely — no region report, no cost unit, no chained charge. With
-/// every slot `Some` the fold is *the* fold of [`reduce_units`] (which
-/// delegates here), so a clean isolated run's report is bitwise
-/// identical to the plain path's.
-///
-/// `covered_instrs` intentionally stays the full plan's figure: the
-/// report still describes the same sampling design, and the caller's
-/// [`PartialReport`](crate::PartialReport) names exactly which units
-/// are missing from it.
-pub(crate) fn reduce_units_partial(
-    workload: &dyn Workload,
-    plan: &RegionPlan,
-    strategy: &str,
-    chained: &[f64],
-    units: Vec<Option<RegionUnit>>,
-) -> SimulationReport {
-    reduce_named(workload.name(), plan, strategy, chained, units)
-}
-
-/// Fold independently-evaluated units back into a [`SimulationReport`]
-/// in plan order — the public face of the in-process fold, for callers
-/// (the shard broker) that hold serialized units and the workload's
-/// *name* rather than the workload itself.
-///
-/// For strategies whose regions are fully independent (empty chained
-/// lane: CoolSim, MRRL), feeding this the units produced by
+/// tree regardless of how the units were scheduled — or in which
+/// process they ran: for fully independent strategies (CoolSim, MRRL),
+/// feeding this the units of
 /// [`SamplingStrategy::run_unit_span`](crate::SamplingStrategy::run_unit_span)
 /// over the whole plan yields a report **bitwise identical** to
-/// [`SamplingStrategy::run`](crate::SamplingStrategy::run) — the fold
-/// is literally the same code with the same fixed `f64` summation
-/// tree. `None` slots are quarantined holes, skipped exactly as the
-/// fault-isolated in-process path skips them.
+/// [`SamplingStrategy::run`](crate::SamplingStrategy::run).
+///
+/// `None` slots are quarantined holes (units a fault guard gave up on),
+/// skipped entirely — no region report, no cost unit, no chained
+/// charge. `covered_instrs` intentionally stays the full plan's figure:
+/// the report still describes the same sampling design, and the
+/// caller's [`PartialReport`](crate::PartialReport) names exactly which
+/// units are missing from it.
 pub fn reduce_region_units(
-    workload_name: &str,
-    plan: &RegionPlan,
-    strategy: &str,
-    units: Vec<Option<RegionUnit>>,
-) -> SimulationReport {
-    reduce_named(workload_name, plan, strategy, &[], units)
-}
-
-/// The one fold every reduce path shares.
-fn reduce_named(
     workload_name: &str,
     plan: &RegionPlan,
     strategy: &str,

@@ -63,7 +63,7 @@ pub use driver::{reduce_region_units, RegionUnit};
 pub use mrrl::MrrlRunner;
 pub use proxy::{ProxyStateSource, SpeculationExtras};
 pub use report::{RegionReport, SimulationReport};
-pub use scheduler::{LostUnits, RegionScheduler, SpecForm};
+pub use scheduler::{LostUnits, RegionScheduler, Slots, SpecForm};
 pub use smarts::SmartsRunner;
 pub use strategy::{PartialReport, SamplingStrategy, StrategyReport};
 

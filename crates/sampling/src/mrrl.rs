@@ -15,14 +15,13 @@
 //! to simulate all of them").
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
-use crate::scheduler::RegionScheduler;
+use crate::driver::{execute_independent, units_in_span, RegionUnit, UnitDriver};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
 use delorean_statmodel::LogHistogram;
 use delorean_trace::fault::FaultPolicy;
-use delorean_trace::{LineMap, MemAccess, Workload, WorkloadExt};
+use delorean_trace::{LineMap, Workload, WorkloadExt};
 use delorean_virt::{CostModel, WorkKind};
 
 /// The MRRL adaptive-functional-warming runner.
@@ -92,10 +91,10 @@ impl MrrlRunner {
         hist.quantile(self.percentile)
     }
 
-    /// The per-region unit body shared by the plain and fault-isolated
-    /// paths: a pure function of `(index, region)` — the fast-forward
-    /// skip comes from the *plan*, and each unit warms its own fresh
-    /// hierarchy — so the isolated path may retry it from the top.
+    /// The per-region unit body: a pure function of `(index, region)` —
+    /// the fast-forward skip comes from the *plan*, and each unit warms
+    /// its own fresh hierarchy — so a guarded unit may retry it from the
+    /// top.
     fn region_unit<'a>(
         &'a self,
         workload: &'a dyn Workload,
@@ -131,8 +130,7 @@ impl MrrlRunner {
             let to = workload.access_index_at_instr(region.warming.start);
             hierarchy.warm_range(workload, from..to);
 
-            let mut source = |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-            driver.measure_region(region, &mut source)
+            driver.measure_on(region, &mut hierarchy)
         }
     }
 }
@@ -140,10 +138,6 @@ impl MrrlRunner {
 impl SamplingStrategy for MrrlRunner {
     fn name(&self) -> &str {
         "mrrl"
-    }
-
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
     }
 
     /// MRRL under the region scheduler: each region profiles its own
@@ -157,9 +151,8 @@ impl SamplingStrategy for MrrlRunner {
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        let units = RegionScheduler::new(workers)
-            .run_units(&plan.regions, self.region_unit(workload, plan));
-        reduce_units(workload, plan, self.name(), &[], units).into()
+        let unit = self.region_unit(workload, plan);
+        execute_independent(workload, plan, self.name(), workers, None, unit).0
     }
 
     /// MRRL with per-unit panic isolation: the same independent unit
@@ -172,15 +165,8 @@ impl SamplingStrategy for MrrlRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        let (units, quarantined) = RegionScheduler::new(workers).run_units_isolated(
-            &plan.regions,
-            policy,
-            self.region_unit(workload, plan),
-        );
-        PartialReport {
-            report: reduce_units_partial(workload, plan, self.name(), &[], units),
-            quarantined,
-        }
+        let unit = self.region_unit(workload, plan);
+        execute_independent(workload, plan, self.name(), workers, Some(policy), unit).into()
     }
 
     /// MRRL decomposes fully: the unit body is a pure function of
@@ -194,15 +180,7 @@ impl SamplingStrategy for MrrlRunner {
         plan: &RegionPlan,
         span: std::ops::Range<u32>,
     ) -> Option<Vec<RegionUnit>> {
-        let hi = (span.end as usize).min(plan.regions.len());
-        let lo = (span.start as usize).min(hi);
-        let unit = self.region_unit(workload, plan);
-        Some(
-            plan.regions[lo..hi]
-                .iter()
-                .map(|r| unit(r.index, r))
-                .collect(),
-        )
+        Some(units_in_span(plan, span, self.region_unit(workload, plan)))
     }
 
     fn internal_parallelism(&self) -> usize {

@@ -372,8 +372,8 @@ mod tests {
             let runner = crate::SmartsRunner::new(machine);
             let plain = runner.run_with_workers(&w, &plan, 1);
             let plain_accesses = w.take();
-            let light =
-                runner.run_speculative_with_workers(&w, &plan, ProxyStateSource::StatModel, 1);
+            let speculative = runner.clone().with_speculation(ProxyStateSource::StatModel);
+            let light = speculative.run_with_workers(&w, &plan, 1);
             let light_accesses = w.take();
             assert!(
                 light_accesses <= plain_accesses + proxies,
@@ -382,8 +382,7 @@ mod tests {
             );
             assert_eq!(light.report, plain.report, "{input}");
 
-            let helped =
-                runner.run_speculative_with_workers(&w, &plan, ProxyStateSource::StatModel, 4);
+            let helped = speculative.run_with_workers(&w, &plan, 4);
             let extras = light.extras::<SpeculationExtras>().expect("extras");
             assert_eq!(
                 Some(extras),

@@ -38,8 +38,14 @@
 //! reconciler on the calling thread, with helpers speculating on the
 //! regions ahead of it. Each region is claimed once, by whoever gets to
 //! it first, and the reconciler never waits for a region no helper has
-//! started. The fault-isolated `_isolated` entry points wrap the same
-//! seeded and speculative lanes rather than copying them.
+//! started.
+//!
+//! Every lane takes an optional [`FaultPolicy`] guard. Without one a
+//! lane runs its closures straight through: no `catch_unwind`, no fault
+//! injection sites, no seed clones. With one, each unit is a fault
+//! domain — caught, retried within the policy and quarantined on
+//! exhaustion — through the same claim, seed and reconcile loops, so a
+//! clean guarded run is bitwise identical to the unguarded one.
 //!
 //! A scheduler's worker count is an *upper bound*. Every extra thread
 //! is a helper token leased from the rayon shim's process-wide
@@ -68,7 +74,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, TryLockError};
 
 /// The scheduler lost unit results it cannot explain: a worker
-/// terminated before sending, outside the fault-isolated paths that
+/// terminated before sending, in a lane run without a fault guard that
 /// would have classified the failure. Raised as a typed panic payload
 /// (via `std::panic::panic_any`) so the report names exactly which
 /// units are missing instead of the old anonymous
@@ -85,8 +91,8 @@ impl std::fmt::Display for LostUnits {
             f,
             "region scheduler lost the result of unit(s) {:?}: a worker \
              terminated before sending (body panicked or was killed); run \
-             the plan through an *_isolated entry point to capture the \
-             per-unit fault instead",
+             the plan under a fault guard (a strategy's run_isolated, or a \
+             lane given Some(policy)) to capture the per-unit fault instead",
             self.units
         )
     }
@@ -94,21 +100,39 @@ impl std::fmt::Display for LostUnits {
 
 impl std::error::Error for LostUnits {}
 
-/// Split guarded per-unit results into plan-ordered slots and the list
-/// of quarantined failures.
-fn split_results<R>(results: Vec<Result<R, UnitFailure>>) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-    let mut out = Vec::with_capacity(results.len());
+/// A lane's outcome: one slot per region in plan order, `None` where a
+/// guarded unit was quarantined, plus the quarantined units' failures in
+/// plan order. An unguarded lane fills every slot and fails nothing.
+pub type Slots<R> = (Vec<Option<R>>, Vec<UnitFailure>);
+
+/// Sort per-unit outcomes into plan-ordered slots and failures.
+fn slots<R>(results: Vec<Result<R, UnitFailure>>) -> Slots<R> {
     let mut failures = Vec::new();
-    for res in results {
-        match res {
-            Ok(r) => out.push(Some(r)),
-            Err(f) => {
-                out.push(None);
-                failures.push(f);
-            }
-        }
-    }
+    let out = results
+        .into_iter()
+        .map(|res| res.map_err(|f| failures.push(f)).ok())
+        .collect();
     (out, failures)
+}
+
+/// Run one retryable unit body under `policy`: caught, behind the
+/// [`FaultSite::UnitEntry`] injection site, retried from the top within
+/// the budget and classified on exhaustion.
+fn guarded<R>(policy: &FaultPolicy, i: u32, mut body: impl FnMut() -> R) -> Result<R, UnitFailure> {
+    fault::run_unit_guarded(i, policy, || {
+        fault::hit(FaultSite::UnitEntry, u64::from(i));
+        body()
+    })
+}
+
+/// Unit `i`'s failure when an upstream chain failure left the carried
+/// state unusable: it never ran.
+fn chain_poisoned(unit: u32, upstream: u32) -> UnitFailure {
+    UnitFailure {
+        unit,
+        attempts: 0,
+        fault: UnitFault::ChainPoisoned { upstream },
+    }
 }
 
 /// How much of a speculation task to run, decided by who claims the
@@ -167,12 +191,16 @@ impl RegionScheduler {
     ///
     /// `unit` must be a pure function of `(index, region)` (plus
     /// captured immutable context); the scheduler guarantees the output
-    /// vector is identical for every worker count.
+    /// is identical for every worker count. Under a `guard` each unit
+    /// runs caught behind a [`FaultSite::UnitEntry`] injection site, is
+    /// retried from the top within the policy (sound because it owns no
+    /// carried state) and is quarantined on exhaustion.
     pub fn run_units<R: Send>(
         &self,
         regions: &[Region],
+        guard: Option<&FaultPolicy>,
         unit: impl Fn(u32, &Region) -> R + Sync,
-    ) -> Vec<R> {
+    ) -> Slots<R> {
         // The shim's `collect` runs inline when it leases no helper.
         let jobs: Vec<(u32, &Region)> = regions
             .iter()
@@ -183,12 +211,20 @@ impl RegionScheduler {
         // (its ThreadPool holds no threads — it only records the width
         // bound). If the shim is swapped for the registry rayon, hoist
         // the pool into the scheduler to avoid per-call thread churn.
-        ThreadPoolBuilder::new()
+        let results = ThreadPoolBuilder::new()
             .num_threads(self.workers)
             .build()
             // lint:allow(no-unwrap): the offline rayon shim's pool build is infallible; with registry rayon a failure here is unrecoverable
             .expect("region worker pool")
-            .install(|| jobs.par_iter().map(|&(i, r)| unit(i, r)).collect())
+            .install(|| {
+                jobs.par_iter()
+                    .map(|&(i, r)| match guard {
+                        None => Ok(unit(i, r)),
+                        Some(policy) => guarded(policy, i, || unit(i, r)),
+                    })
+                    .collect()
+            });
+        slots(results)
     }
 
     /// Helper tokens for a lane-plus-helpers call over `n` units: up to
@@ -217,37 +253,75 @@ impl RegionScheduler {
     /// hanging it. With one worker, or no idle helper, the two
     /// interleave exactly like the classic sequential driver: seed(0),
     /// body(0), seed(1), body(1), …
-    pub fn run_seeded<S: Send, R: Send>(
+    ///
+    /// Under a `guard` the two lanes fail differently:
+    ///
+    /// * **Body** failures are local. Each body runs guarded behind a
+    ///   [`FaultSite::UnitEntry`] injection site and retries from a
+    ///   fresh [`Clone`] of its seed (the only use of `S: Clone`);
+    ///   exhaustion quarantines that unit alone — the seed lane has
+    ///   already moved past it.
+    /// * **Seed** failures poison the chain. A failed seed call leaves
+    ///   the carried state (the cumulative warm hierarchy) half-mutated,
+    ///   so it is *not* retried: unit *i* is quarantined with its
+    ///   classified fault and every unit after it with
+    ///   [`UnitFault::ChainPoisoned`], without calling `seed` again.
+    ///   Seeds carry no injection site for the same reason — injected
+    ///   faults must stay recoverable.
+    pub fn run_seeded<S: Send + Clone, R: Send>(
         &self,
         regions: &[Region],
+        guard: Option<&FaultPolicy>,
         mut seed: impl FnMut(u32, &Region) -> S,
         body: impl Fn(u32, &Region, S) -> R + Sync,
-    ) -> Vec<R> {
+    ) -> Slots<R> {
+        let seed_once = FaultPolicy { retry_budget: 0 };
+        let mut poisoned: Option<u32> = None;
+        let mut lane_seed = |i: u32, r: &Region| -> Result<S, UnitFailure> {
+            if let Some(upstream) = poisoned {
+                return Err(chain_poisoned(i, upstream));
+            }
+            match guard {
+                None => Ok(seed(i, r)),
+                Some(_) => fault::run_unit_guarded(i, &seed_once, || seed(i, r))
+                    .inspect_err(|_| poisoned = Some(i)),
+            }
+        };
+        let lane_body = |i: u32, r: &Region, s: Result<S, UnitFailure>| {
+            let s = s?;
+            match guard {
+                None => Ok(body(i, r, s)),
+                Some(policy) => guarded(policy, i, || body(i, r, s.clone())),
+            }
+        };
         let n = regions.len();
         let helpers = self.lease_helpers(n);
         if helpers.is_empty() {
-            return regions
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let s = seed(i as u32, r);
-                    body(i as u32, r, s)
-                })
-                .collect();
+            return slots(
+                regions
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        let s = lane_seed(i as u32, r);
+                        lane_body(i as u32, r, s)
+                    })
+                    .collect(),
+            );
         }
+        type Done<T> = (u32, Result<T, UnitFailure>);
         // The seed channel's bound is the pipeline depth: the seed lane
         // may run at most one seed per helper ahead of the slowest body,
         // modeling a finite pipe buffer.
-        let (seed_tx, seed_rx) = bounded::<(u32, S)>(helpers.len().max(2));
-        let (done_tx, done_rx) = bounded::<(u32, R)>(n);
+        let (seed_tx, seed_rx) = bounded::<(u32, Result<S, UnitFailure>)>(helpers.len().max(2));
+        let (done_tx, done_rx) = bounded::<Done<R>>(n);
         let seed_rx = Mutex::new(seed_rx);
         // lint:allow(no-unwrap): a poisoned lock means a sibling worker panicked; propagating is the only sound recovery
         let queue = || seed_rx.lock().expect("seed channel lock");
-        let run_body = |(i, s): (u32, S), done_tx: &Sender<(u32, R)>| {
+        let run_body = |(i, s): (u32, Result<S, UnitFailure>), done_tx: &Sender<Done<R>>| {
             // The done channel holds every unit, so this never blocks.
-            let _ = done_tx.send((i, body(i, &regions[i as usize], s)));
+            let _ = done_tx.send((i, lane_body(i, &regions[i as usize], s)));
         };
-        let consume = |done_tx: Sender<(u32, R)>| loop {
+        let consume = |done_tx: Sender<Done<R>>| loop {
             // Hold the lock for the receive only: the guard must drop
             // before the body runs, or every other consumer (and the
             // lane's `try_lock`) would wait for that body. `recv` ends
@@ -263,7 +337,7 @@ impl RegionScheduler {
                 scope.spawn(move || helper.run(|| consume(done_tx)));
             }
             for (i, r) in regions.iter().enumerate() {
-                let mut msg = (i as u32, seed(i as u32, r));
+                let mut msg = (i as u32, lane_seed(i as u32, r));
                 // A full queue means every helper is busy (or dead): run
                 // the oldest queued body here instead of blocking on the
                 // send, so a helper's panic can never wedge the lane.
@@ -285,25 +359,22 @@ impl RegionScheduler {
             }
             drop(seed_tx);
             consume(done_tx);
-            let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+            let mut done: Vec<Option<Result<R, UnitFailure>>> = (0..n).map(|_| None).collect();
             for (i, out) in done_rx.iter() {
-                slots[i as usize] = Some(out);
+                done[i as usize] = Some(out);
             }
             // A missing slot means a consumer died before reporting; name
-            // the units instead of failing anonymously (the fault-isolated
-            // paths below classify the failure rather than panicking).
-            let mut lost = Vec::new();
-            let mut out = Vec::with_capacity(n);
-            for (i, s) in slots.into_iter().enumerate() {
-                match s {
-                    Some(r) => out.push(r),
-                    None => lost.push(i as u32),
-                }
-            }
+            // the units instead of failing anonymously (under a guard the
+            // failure is classified instead of panicking).
+            let lost: Vec<u32> = (0..)
+                .zip(&done)
+                .filter(|(_, d)| d.is_none())
+                .map(|(i, _)| i)
+                .collect();
             if !lost.is_empty() {
                 std::panic::panic_any(LostUnits { units: lost });
             }
-            out
+            slots(done.into_iter().flatten().collect())
         })
     }
 
@@ -330,6 +401,24 @@ impl RegionScheduler {
     /// or no idle helper, every region is light and the two interleave:
     /// spec(0), reconcile(0), spec(1), …
     ///
+    /// Without a guard `reconcile` always receives `Some` speculation.
+    /// Under a `guard`:
+    ///
+    /// * Speculation bodies are free to die: a `spec` failure (after its
+    ///   guarded retries at the [`FaultSite::UnitEntry`] site) degrades
+    ///   that unit's speculation to `None`, and the reconciler takes its
+    ///   miss path and redoes the unit from the true carried state.
+    ///   **Spec faults never quarantine anything**; they only cost
+    ///   modeled speedup.
+    /// * The reconciler is the chain: each call is preceded by a guarded
+    ///   [`FaultSite::ReconcilerCommit`] gate (injected faults fire here,
+    ///   *before* any chain mutation, so they are retryable), and the
+    ///   `reconcile` call itself runs caught-but-unretried — a genuine
+    ///   reconciler panic may have half-mutated the carried state, so it
+    ///   quarantines unit *i* and poisons every later unit. Once the
+    ///   chain is poisoned, `spec` is no longer called: any later claim
+    ///   yields `None` at once.
+    ///
     /// Determinism contract: `spec` must be a pure function of
     /// `(index, region, form)`, and what `reconcile` returns (and every
     /// commit/miss decision) must not depend on the form or on *when* a
@@ -338,9 +427,47 @@ impl RegionScheduler {
     pub fn run_speculative<S: Send, R>(
         &self,
         regions: &[Region],
+        guard: Option<&FaultPolicy>,
         spec: impl Fn(u32, &Region, SpecForm) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, S) -> R,
-    ) -> Vec<R> {
+        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
+    ) -> Slots<R> {
+        let reconcile_once = FaultPolicy { retry_budget: 0 };
+        // The first unit whose reconcile failed. Shared with the spec
+        // side so that nothing speculates for a unit the chain will
+        // quarantine anyway.
+        let poisoned = OnceLock::<u32>::new();
+        let lane_spec = |i: u32, r: &Region, form: SpecForm| -> Option<S> {
+            let Some(policy) = guard else {
+                return Some(spec(i, r, form));
+            };
+            if poisoned.get().is_some() {
+                return None;
+            }
+            guarded(policy, i, || spec(i, r, form)).ok()
+        };
+        let mut lane_reconcile = |i: u32, r: &Region, s: Option<S>| -> Result<R, UnitFailure> {
+            let Some(policy) = guard else {
+                return Ok(reconcile(i, r, s));
+            };
+            if let Some(&upstream) = poisoned.get() {
+                return Err(chain_poisoned(i, upstream));
+            }
+            // Injection gate first: it faults before reconcile mutates
+            // anything, so the retry loop is sound here...
+            fault::run_unit_guarded(i, policy, || {
+                fault::hit(FaultSite::ReconcilerCommit, u64::from(i))
+            })
+            .and_then(|()| {
+                // ...but the reconcile body itself gets exactly one attempt.
+                let mut slot = Some(s);
+                fault::run_unit_guarded(i, &reconcile_once, || {
+                    reconcile(i, r, slot.take().flatten())
+                })
+            })
+            .inspect_err(|_| {
+                let _ = poisoned.set(i);
+            })
+        };
         let n = regions.len();
         let helpers = self.lease_helpers(n);
         // The next unclaimed region. Helpers claim with `fetch_add`, the
@@ -348,8 +475,8 @@ impl RegionScheduler {
         // needs; every region below it is already claimed. Results travel
         // through the channel, so `Relaxed` suffices.
         let next = AtomicUsize::new(0);
-        let (done_tx, done_rx) = bounded::<(u32, S)>(n.max(1));
-        let (spec, next) = (&spec, &next);
+        let (done_tx, done_rx) = bounded::<(u32, Option<S>)>(n.max(1));
+        let (spec, next) = (&lane_spec, &next);
         std::thread::scope(|scope| {
             for helper in helpers {
                 let done_tx = done_tx.clone();
@@ -367,7 +494,7 @@ impl RegionScheduler {
                 });
             }
             drop(done_tx);
-            let mut pending: Vec<Option<S>> = (0..n).map(|_| None).collect();
+            let mut pending: Vec<Option<Option<S>>> = (0..n).map(|_| None).collect();
             let mut out = Vec::with_capacity(n);
             for (k, region) in regions.iter().enumerate() {
                 let iu = k as u32;
@@ -390,161 +517,10 @@ impl RegionScheduler {
                         pending[i as usize] = Some(s);
                     }
                 };
-                out.push(reconcile(iu, region, s));
+                out.push(lane_reconcile(iu, region, s));
             }
-            out
+            slots(out)
         })
-    }
-
-    /// [`run_units`](Self::run_units) with **panic isolation**: each
-    /// unit body runs inside
-    /// [`fault::run_unit_guarded`] — a panic (or injected fault at the
-    /// [`FaultSite::UnitEntry`] site) is caught and classified, the
-    /// unit is retried up to the policy's budget, and exhaustion
-    /// quarantines the unit instead of unwinding the run.
-    ///
-    /// Returns plan-ordered result slots (`None` = quarantined) plus
-    /// the plan-ordered failure list. A fully clean run returns all
-    /// `Some` with no failures, and its results are bitwise identical
-    /// to [`run_units`](Self::run_units) at every worker count —
-    /// isolation is pure scheduling, never semantics.
-    ///
-    /// `unit` must stay a pure function of `(index, region)`: retries
-    /// re-enter it from the top, which is only sound because it owns no
-    /// carried state.
-    pub fn run_units_isolated<R: Send>(
-        &self,
-        regions: &[Region],
-        policy: &FaultPolicy,
-        unit: impl Fn(u32, &Region) -> R + Sync,
-    ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let guarded = |i: u32, r: &Region| -> Result<R, UnitFailure> {
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::UnitEntry, u64::from(i));
-                unit(i, r)
-            })
-        };
-        split_results(self.run_units(regions, guarded))
-    }
-
-    /// [`run_seeded`](Self::run_seeded) with **panic isolation**.
-    ///
-    /// The two lanes fail differently:
-    ///
-    /// * **Body** failures are local. Each body runs guarded with a
-    ///   [`FaultSite::UnitEntry`] injection site and retries from a
-    ///   fresh [`Clone`] of its seed (which is why `S: Clone` here);
-    ///   exhaustion quarantines that unit alone — the seed lane has
-    ///   already moved past it.
-    /// * **Seed** failures poison the chain. A failed seed call leaves
-    ///   the carried state (the cumulative warm hierarchy) half-mutated,
-    ///   so it is *not* retried: unit *i* is quarantined with its
-    ///   classified fault and every unit after it with
-    ///   [`UnitFault::ChainPoisoned`], without calling `seed` again.
-    ///   Seeds carry no injection site for the same reason — injected
-    ///   faults must stay recoverable.
-    ///
-    /// Built on [`run_seeded`](Self::run_seeded) itself (a unit's seed is
-    /// its guarded outcome), so a fully clean run's results are bitwise
-    /// identical to the plain lane's at every worker count.
-    pub fn run_seeded_isolated<S: Send + Clone, R: Send>(
-        &self,
-        regions: &[Region],
-        policy: &FaultPolicy,
-        mut seed: impl FnMut(u32, &Region) -> S,
-        body: impl Fn(u32, &Region, S) -> R + Sync,
-    ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let seed_once = FaultPolicy { retry_budget: 0 };
-        let mut poisoned: Option<u32> = None;
-        let guarded_seed = |i: u32, r: &Region| -> Result<S, UnitFailure> {
-            if let Some(upstream) = poisoned {
-                return Err(UnitFailure {
-                    unit: i,
-                    attempts: 0,
-                    fault: UnitFault::ChainPoisoned { upstream },
-                });
-            }
-            fault::run_unit_guarded(i, &seed_once, || seed(i, r))
-                .inspect_err(|_| poisoned = Some(i))
-        };
-        let guarded_body = |i: u32, r: &Region, s: Result<S, UnitFailure>| {
-            let s = s?;
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::UnitEntry, u64::from(i));
-                body(i, r, s.clone())
-            })
-        };
-        split_results(self.run_seeded(regions, guarded_seed, guarded_body))
-    }
-
-    /// [`run_speculative`](Self::run_speculative) with **panic
-    /// isolation**, through the same claim loop.
-    ///
-    /// Speculation bodies are free to die: a `spec` failure (after its
-    /// guarded retries at the [`FaultSite::UnitEntry`] site) simply
-    /// degrades that unit's speculation to `None`, and the reconciler —
-    /// which receives `Option<S>` — takes its miss path and redoes the
-    /// unit from the true carried state. **Spec faults therefore never
-    /// quarantine anything**; they only cost modeled speedup.
-    ///
-    /// The reconciler is the chain: each call is preceded by a guarded
-    /// [`FaultSite::ReconcilerCommit`] gate (injected faults fire here,
-    /// *before* any chain mutation, so they are retryable), and the
-    /// `reconcile` call itself runs caught-but-unretried — a genuine
-    /// reconciler panic may have half-mutated the carried state, so it
-    /// quarantines unit *i* and poisons every later unit. Once the chain
-    /// is poisoned, `spec` is no longer called: any later claim yields
-    /// `None` at once.
-    ///
-    /// A fully clean run's results are bitwise identical to
-    /// [`run_speculative`](Self::run_speculative) at every worker count.
-    pub fn run_speculative_isolated<S: Send, R>(
-        &self,
-        regions: &[Region],
-        policy: &FaultPolicy,
-        spec: impl Fn(u32, &Region, SpecForm) -> S + Sync,
-        mut reconcile: impl FnMut(u32, &Region, Option<S>) -> R,
-    ) -> (Vec<Option<R>>, Vec<UnitFailure>) {
-        let reconcile_once = FaultPolicy { retry_budget: 0 };
-        // The first unit whose reconcile failed. Shared with the spec
-        // side so that nothing speculates for a unit the chain will
-        // quarantine anyway.
-        let poisoned = OnceLock::<u32>::new();
-        let guarded_spec = |i: u32, r: &Region, form: SpecForm| -> Option<S> {
-            if poisoned.get().is_some() {
-                return None;
-            }
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::UnitEntry, u64::from(i));
-                spec(i, r, form)
-            })
-            .ok()
-        };
-        let guarded_reconcile = |i: u32, r: &Region, s: Option<S>| -> Result<R, UnitFailure> {
-            if let Some(&upstream) = poisoned.get() {
-                return Err(UnitFailure {
-                    unit: i,
-                    attempts: 0,
-                    fault: UnitFault::ChainPoisoned { upstream },
-                });
-            }
-            // Injection gate first: it faults before reconcile mutates
-            // anything, so the retry loop is sound here...
-            fault::run_unit_guarded(i, policy, || {
-                fault::hit(FaultSite::ReconcilerCommit, u64::from(i))
-            })
-            .and_then(|()| {
-                // ...but the reconcile body itself gets exactly one attempt.
-                let mut slot = Some(s);
-                fault::run_unit_guarded(i, &reconcile_once, || {
-                    reconcile(i, r, slot.take().flatten())
-                })
-            })
-            .inspect_err(|_| {
-                let _ = poisoned.set(i);
-            })
-        };
-        split_results(self.run_speculative(regions, guarded_spec, guarded_reconcile))
     }
 }
 
@@ -570,12 +546,20 @@ mod tests {
             .regions
     }
 
+    /// The results of a lane that must have completed every unit.
+    fn complete<R>((slots, failures): Slots<R>) -> Vec<R> {
+        assert!(failures.is_empty(), "{failures:?}");
+        slots.into_iter().map(|s| s.expect("filled slot")).collect()
+    }
+
     #[test]
     fn independent_units_come_back_in_plan_order() {
         let rs = regions(7);
         let reference: Vec<u64> = rs.iter().map(|r| r.start_instr * 3).collect();
         for workers in [1, 2, 4, 8] {
-            let got = RegionScheduler::new(workers).run_units(&rs, |_, r| r.start_instr * 3);
+            let got = complete(
+                RegionScheduler::new(workers).run_units(&rs, None, |_, r| r.start_instr * 3),
+            );
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -596,14 +580,15 @@ mod tests {
         };
         for workers in [1, 2, 3, 8] {
             let mut acc = 0u64;
-            let got = RegionScheduler::new(workers).run_seeded(
+            let got = complete(RegionScheduler::new(workers).run_seeded(
                 &rs,
+                None,
                 move |_, r| {
                     acc += r.start_instr;
                     acc
                 },
                 |_, _, s| s,
-            );
+            ));
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -619,6 +604,7 @@ mod tests {
             let outcome = std::panic::catch_unwind(|| {
                 RegionScheduler::new(4).run_seeded(
                     &rs,
+                    None,
                     |i, _| i,
                     |i, _, _| -> u32 { std::panic::panic_any(format!("body {i} dies")) },
                 )
@@ -646,8 +632,9 @@ mod tests {
         let caller = std::thread::current().id();
         let started = (Mutex::new(0usize), Condvar::new());
         let (sequential, paired) = (AtomicBool::new(false), AtomicBool::new(true));
-        let got = RegionScheduler::new(3).run_seeded(
+        let got = complete(RegionScheduler::new(3).run_seeded(
             &rs,
+            None,
             |i, _| {
                 if i == 1 {
                     let (lock, cv) = &started;
@@ -678,7 +665,7 @@ mod tests {
                 }
                 s
             },
-        );
+        ));
         assert_eq!(got, (0..8).collect::<Vec<u32>>());
         if !sequential.into_inner() {
             assert!(
@@ -693,8 +680,9 @@ mod tests {
         let rs = regions(9);
         for workers in [1, 2, 4, 8] {
             let (calls, light) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            let got = RegionScheduler::new(workers).run_speculative(
+            let got = complete(RegionScheduler::new(workers).run_speculative(
                 &rs,
+                None,
                 |i, _, form| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     if form == SpecForm::Light {
@@ -703,10 +691,11 @@ mod tests {
                     i
                 },
                 |i, _, s| {
+                    let s = s.expect("an unguarded lane always speculates");
                     assert_eq!(i, s, "workers={workers}: speculation of another unit");
                     s
                 },
-            );
+            ));
             assert_eq!(got, (0..9).collect::<Vec<u32>>(), "workers={workers}");
             assert_eq!(calls.into_inner(), 9, "workers={workers}");
             if workers == 1 {
@@ -741,14 +730,15 @@ mod tests {
         };
         for workers in [1, 2, 3, 8] {
             let mut acc = 1u64;
-            let got = RegionScheduler::new(workers).run_speculative(
+            let got = complete(RegionScheduler::new(workers).run_speculative(
                 &rs,
+                None,
                 |i, r, _| r.start_instr + u64::from(i) + 2,
                 |_, _, s| {
-                    acc = acc.wrapping_mul(s);
+                    acc = acc.wrapping_mul(s.expect("an unguarded lane always speculates"));
                     acc
                 },
-            );
+            ));
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -761,7 +751,7 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let (got, failures) =
                 RegionScheduler::new(workers)
-                    .run_units_isolated(&rs, &policy, |_, r| r.start_instr * 3);
+                    .run_units(&rs, Some(&policy), |_, r| r.start_instr * 3);
             assert!(failures.is_empty(), "workers={workers}");
             let got: Vec<u64> = got.into_iter().flatten().collect();
             assert_eq!(got, reference, "workers={workers}");
@@ -774,7 +764,7 @@ mod tests {
         let policy = FaultPolicy { retry_budget: 1 };
         for workers in [1, 4] {
             let (got, failures) =
-                RegionScheduler::new(workers).run_units_isolated(&rs, &policy, |i, _| {
+                RegionScheduler::new(workers).run_units(&rs, Some(&policy), |i, _| {
                     if i == 2 {
                         std::panic::panic_any("unit 2 always dies".to_string());
                     }
@@ -808,9 +798,9 @@ mod tests {
         let policy = FaultPolicy::default();
         for workers in [1, 2, 3, 8] {
             let mut acc = 0u64;
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
+            let (got, failures) = RegionScheduler::new(workers).run_seeded(
                 &rs,
-                &policy,
+                Some(&policy),
                 move |_, r| {
                     acc += r.start_instr;
                     acc
@@ -828,9 +818,9 @@ mod tests {
         let rs = regions(5);
         let policy = FaultPolicy::default();
         for workers in [1, 3] {
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
+            let (got, failures) = RegionScheduler::new(workers).run_seeded(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, _| {
                     if i == 2 {
                         std::panic::panic_any("seed 2 dies".to_string());
@@ -861,9 +851,9 @@ mod tests {
         let rs = regions(5);
         let policy = FaultPolicy { retry_budget: 0 };
         for workers in [1, 3] {
-            let (got, failures) = RegionScheduler::new(workers).run_seeded_isolated(
+            let (got, failures) = RegionScheduler::new(workers).run_seeded(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, _| u64::from(i),
                 |i, _, s| {
                     if i == 1 {
@@ -900,9 +890,9 @@ mod tests {
             })
             .collect();
         for workers in [1, 2, 8] {
-            let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
+            let (got, failures) = RegionScheduler::new(workers).run_speculative(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, r, _| {
                     if i == 3 {
                         std::panic::panic_any("spec 3 dies".to_string());
@@ -924,9 +914,9 @@ mod tests {
         let policy = FaultPolicy::default();
         for workers in [1, 3] {
             let late_specs = AtomicUsize::new(0);
-            let (got, failures) = RegionScheduler::new(workers).run_speculative_isolated(
+            let (got, failures) = RegionScheduler::new(workers).run_speculative(
                 &rs,
-                &policy,
+                Some(&policy),
                 |i, _, _| {
                     if i > 2 {
                         late_specs.fetch_add(1, Ordering::Relaxed);
@@ -963,12 +953,12 @@ mod tests {
     #[test]
     fn empty_and_single_region_plans_work() {
         let rs = regions(1);
-        let got = RegionScheduler::new(4).run_units(&rs, |i, _| i);
+        let got = complete(RegionScheduler::new(4).run_units(&rs, None, |i, _| i));
         assert_eq!(got, vec![0]);
-        let got = RegionScheduler::new(4).run_seeded(&rs, |i, _| i, |_, _, s| s);
+        let got = complete(RegionScheduler::new(4).run_seeded(&rs, None, |i, _| i, |_, _, s| s));
         assert_eq!(got, vec![0]);
         let none: Vec<Region> = Vec::new();
-        let got: Vec<u32> = RegionScheduler::new(4).run_units(&none, |i, _| i);
+        let got: Vec<u32> = complete(RegionScheduler::new(4).run_units(&none, None, |i, _| i));
         assert!(got.is_empty());
     }
 }

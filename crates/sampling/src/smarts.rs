@@ -8,14 +8,14 @@
 //! measures SMARTS at 1.3 MIPS.
 
 use crate::config::{Region, RegionPlan};
-use crate::driver::{reduce_units, reduce_units_partial, RegionUnit, UnitDriver};
+use crate::driver::{reduce_region_units, RegionUnit, UnitDriver};
 use crate::proxy::{ProxyStateSource, SpeculationExtras};
 use crate::scheduler::{RegionScheduler, SpecForm};
 use crate::strategy::{PartialReport, SamplingStrategy, StrategyReport};
 use delorean_cache::{Hierarchy, MachineConfig};
 use delorean_cpu::TimingConfig;
-use delorean_trace::fault::FaultPolicy;
-use delorean_trace::{MemAccess, Workload};
+use delorean_trace::fault::{FaultPolicy, UnitFailure};
+use delorean_trace::Workload;
 use delorean_virt::{CostModel, HostClock, SpecUnit, WorkKind};
 
 /// The SMARTS (functional warming) runner.
@@ -40,16 +40,43 @@ impl SmartsRunner {
         }
     }
 
-    /// Enable the speculative warm lane: [`run`] and
-    /// [`run_with_workers`] go through
-    /// [`run_speculative_with_workers`](Self::run_speculative_with_workers)
-    /// with this proxy source, attaching [`SpeculationExtras`] to the
-    /// report. The report itself stays bitwise identical to the
-    /// non-speculative run — speculation is a scheduling strategy, not a
-    /// semantic one.
+    /// Run SMARTS through the **speculative warm lane**, with this
+    /// proxy source, attaching [`SpeculationExtras`] to the report.
     ///
-    /// [`run`]: SamplingStrategy::run
-    /// [`run_with_workers`]: SamplingStrategy::run_with_workers
+    /// Every region is a speculation task: build a proxy of the chain
+    /// state at the region's boundary (see [`ProxyStateSource`]) and
+    /// record its digest. The reconciler advances the true carried state
+    /// in plan order and commits a region when its digest equals the
+    /// proxy's — the start states were behaviourally identical.
+    ///
+    /// Speculation runs only ahead of the chain. A region a helper
+    /// claims first is speculated in full: the helper also warms and
+    /// measures in place from the proxy, so on a commit the chain adopts
+    /// that measurement *and its end state* and skips the region's warm
+    /// work entirely (the source of the modeled speedup), and on a miss
+    /// the chain re-warms and re-measures from the true state. A region
+    /// the reconciler reaches first is speculated light: only the proxy
+    /// and its digest, then the chain warms and measures in place exactly
+    /// like plain SMARTS. So without helpers (one worker, or a host
+    /// already busy) the lane costs plain SMARTS plus the proxy digests.
+    ///
+    /// Either way every unit's chained charge is `chain_step`'s —
+    /// identical arithmetic to the sequential path — so the
+    /// [`SimulationReport`](crate::SimulationReport) is bitwise identical
+    /// to sequential SMARTS at every worker count and for every proxy
+    /// source (pinned by `tests/determinism.rs`): speculation is a
+    /// scheduling strategy, not a semantic one. The commit flags come
+    /// from the same digest comparison in both forms and the outcome
+    /// seconds are plan arithmetic, so the [`SpeculationExtras`] are
+    /// identical at every worker count too; from them
+    /// [`RunCost::speculative_wallclock`](delorean_virt::RunCost::speculative_wallclock)
+    /// models the lane's wall-clock.
+    ///
+    /// Under [`run_isolated`](SamplingStrategy::run_isolated), spec tasks
+    /// whose retries are exhausted degrade to the reconciler's miss path
+    /// (full redo from the true chain state — never a quarantine), while
+    /// reconciler-commit faults are retried at the injection gate and
+    /// genuine reconciler deaths poison the rest of the chain.
     pub fn with_speculation(mut self, proxy: ProxyStateSource) -> Self {
         self.proxy = Some(proxy);
         self
@@ -76,65 +103,78 @@ impl SmartsRunner {
         self
     }
 
-    /// SMARTS through the **speculative warm lane**.
+    /// The one execution body behind every entry point, unguarded or
+    /// under a fault `guard`. Functional warming is a **chained lane** —
+    /// a region's boundary state depends on every access before it — so
+    /// one [`SpecChain`] walks it in plan order, on one of three
+    /// schedules that all charge each unit `chain_step`'s seconds and so
+    /// produce the same report bytes (`tests/determinism.rs`):
     ///
-    /// Every region is a speculation task: build a proxy of the chain
-    /// state at the region's boundary (see [`ProxyStateSource`]) and
-    /// record its digest. The reconciler advances the true carried state
-    /// in plan order and commits a region when its digest equals the
-    /// proxy's — the start states were behaviourally identical.
-    ///
-    /// Speculation runs only ahead of the chain. A region a helper
-    /// claims first is speculated in full: the helper also warms and
-    /// measures in place from the proxy, so on a commit the chain adopts
-    /// that measurement *and its end state* and skips the region's warm
-    /// work entirely (the source of the modeled speedup), and on a miss
-    /// the chain re-warms and re-measures from the true state. A region
-    /// the reconciler reaches first is speculated light: only the proxy
-    /// and its digest, then the chain warms and measures in place exactly
-    /// like plain SMARTS. So without helpers (one worker, or a host
-    /// already busy) the lane costs plain SMARTS plus the proxy digests.
-    ///
-    /// Either way every unit's chained charge is `chain_step`'s —
-    /// identical arithmetic to the sequential path — so the
-    /// [`SimulationReport`](crate::SimulationReport) is bitwise identical
-    /// to sequential SMARTS at every worker count and for every proxy
-    /// source (pinned by `tests/determinism.rs`). The commit flags come
-    /// from the same digest comparison in both forms and the outcome
-    /// seconds are plan arithmetic, so the [`SpeculationExtras`] are
-    /// identical at every worker count too; from them
-    /// [`RunCost::speculative_wallclock`](delorean_virt::RunCost::speculative_wallclock)
-    /// models the lane's wall-clock.
-    pub fn run_speculative_with_workers(
+    /// * **In place** (one worker, no guard): warm and measure on the
+    ///   chain's own hierarchy — no copy, one pass over the span.
+    /// * **Fork and replay** (several workers, or a guard): the seed lane
+    ///   hands each measure body a [`Hierarchy::fork`] of the boundary
+    ///   state, then replays the measured span functionally, which leaves
+    ///   the chain bit-identical to an in-place measurement because
+    ///   `simulate_detailed` issues exactly the span's `(pc, line, index)`
+    ///   data accesses. The replay is charged on every schedule, so the
+    ///   cost accounting ignores the worker count. A guard always forks:
+    ///   a fault mid-way through an in-place measurement would leave the
+    ///   chain unrecoverable, while a forked body retries from a clone.
+    /// * **Speculative**: see [`with_speculation`](Self::with_speculation).
+    fn execute(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
-        proxy: ProxyStateSource,
         workers: usize,
-    ) -> StrategyReport {
-        let p = workload.mem_period();
-        let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region, form: SpecForm| {
-            self.speculate(workload, plan, positions, proxy, i, region, form)
-        };
+        guard: Option<&FaultPolicy>,
+    ) -> (StrategyReport, Vec<UnitFailure>) {
+        let positions = &chain_positions(plan, workload.mem_period());
         let mut chain = SpecChain::new(self, workload, plan, positions);
-        let units = RegionScheduler::new(workers).run_speculative(
-            &plan.regions,
-            spec,
-            |i: u32, region: &Region, s: Speculation| chain.reconcile(i, region, Some(s)),
-        );
+        let scheduler = RegionScheduler::new(workers);
+        let (units, quarantined) = match self.proxy {
+            Some(proxy) => scheduler.run_speculative(
+                &plan.regions,
+                guard,
+                |i, region: &Region, form| {
+                    self.speculate(workload, plan, positions, proxy, i, region, form)
+                },
+                |i, region: &Region, s| chain.reconcile(i, region, s),
+            ),
+            None if workers <= 1 && guard.is_none() => {
+                let units = (0..)
+                    .zip(&plan.regions)
+                    .map(|(i, region)| Some(chain.reconcile(i, region, None)))
+                    .collect();
+                (units, Vec::new())
+            }
+            None => scheduler.run_seeded(
+                &plan.regions,
+                guard,
+                |i, region: &Region| chain.fork(i, region),
+                |_, region: &Region, mut warm: Hierarchy| {
+                    UnitDriver::new(workload, &self.timing, &self.cost)
+                        .measure_on(region, &mut warm)
+                },
+            ),
+        };
         let SpecChain {
             chained, outcomes, ..
         } = chain;
-        let report = reduce_units(workload, plan, self.name(), &chained, units);
-        StrategyReport::new(report).with_extras(SpeculationExtras { proxy, outcomes })
+        let report = reduce_region_units(workload.name(), plan, self.name(), &chained, units);
+        let report = match self.proxy {
+            Some(proxy) => {
+                StrategyReport::new(report).with_extras(SpeculationExtras { proxy, outcomes })
+            }
+            None => report.into(),
+        };
+        (report, quarantined)
     }
 
     /// One speculation task: build the proxy state for region `i`'s
     /// boundary and record its digest; in [`SpecForm::Full`] also warm
-    /// and measure in place from it. Shared verbatim by the plain and
-    /// fault-isolated speculative lanes — a pure function of
-    /// `(i, region, form)`, which is what makes it safe for the isolated
+    /// and measure in place from it. A pure function of
+    /// `(i, region, form)`, which is what makes it safe for a guarded
     /// lane to retry from the top.
     #[allow(clippy::too_many_arguments)] // the run's fixed context, then the unit's coordinates
     fn speculate(
@@ -167,50 +207,14 @@ impl SmartsRunner {
             // hierarchy through the measured span exactly as the chain's
             // functional replay would, so `h` ends at the next boundary's
             // state.
-            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
-            let unit = driver.measure_region(region, &mut source);
+            let unit =
+                UnitDriver::new(workload, &self.timing, &self.cost).measure_on(region, &mut h);
             (h, unit)
         });
         Speculation {
             digest,
             proxy_seconds,
             ahead,
-        }
-    }
-
-    /// The speculative warm lane under **panic isolation**: spec tasks
-    /// whose retries are exhausted degrade to the reconciler's miss
-    /// path (full redo from the true chain state — never a quarantine),
-    /// while reconciler-commit faults are retried at the injection gate
-    /// and genuine reconciler deaths poison the rest of the chain. A
-    /// clean run's report is bitwise identical to
-    /// [`run_speculative_with_workers`](Self::run_speculative_with_workers)'s
-    /// (speculation extras are not carried by partial reports).
-    pub fn run_speculative_isolated_with_workers(
-        &self,
-        workload: &dyn Workload,
-        plan: &RegionPlan,
-        proxy: ProxyStateSource,
-        workers: usize,
-        policy: &FaultPolicy,
-    ) -> PartialReport {
-        let p = workload.mem_period();
-        let positions = &chain_positions(plan, p);
-        let spec = |i: u32, region: &Region, form: SpecForm| {
-            self.speculate(workload, plan, positions, proxy, i, region, form)
-        };
-        let mut chain = SpecChain::new(self, workload, plan, positions);
-        let (outputs, quarantined) = RegionScheduler::new(workers).run_speculative_isolated(
-            &plan.regions,
-            policy,
-            spec,
-            |i: u32, region: &Region, s: Option<Speculation>| chain.reconcile(i, region, s),
-        );
-        let report = reduce_units_partial(workload, plan, self.name(), &chain.chained, outputs);
-        PartialReport {
-            report,
-            quarantined,
         }
     }
 }
@@ -224,8 +228,10 @@ struct Speculation {
     ahead: Option<(Hierarchy, RegionUnit)>,
 }
 
-/// The speculative lane's true warm chain, advanced by the reconciler in
-/// plan order — one implementation for the plain and isolated lanes.
+/// SMARTS's true warm chain, advanced in plan order by every schedule:
+/// the reconciler (in place, adopting committed speculations), the
+/// in-place loop, or the fork-and-replay seed lane. Each step charges
+/// `chain_step`'s seconds to `chained`.
 struct SpecChain<'a> {
     runner: &'a SmartsRunner,
     workload: &'a dyn Workload,
@@ -261,6 +267,34 @@ impl<'a> SpecChain<'a> {
         }
     }
 
+    /// Region `i`'s chain step, its seconds charged to the chained lane.
+    fn step(&mut self, i: u32, region: &Region) -> ChainStep {
+        debug_assert_eq!(self.pos_access, self.positions[i as usize]);
+        let step = chain_step(
+            &self.runner.cost,
+            self.workload,
+            region,
+            self.pos_access,
+            self.p,
+            self.mult,
+        );
+        self.chained.push(step.seconds);
+        step
+    }
+
+    /// Advance over region `i` by fork and replay: warm to the
+    /// boundary, fork the state for the unit's measure body, then replay
+    /// the measured span functionally so the chain ends where an
+    /// in-place measurement would leave it.
+    fn fork(&mut self, i: u32, region: &Region) -> Hierarchy {
+        let step = self.step(i, region);
+        self.hierarchy.warm_range(self.workload, step.warm);
+        let unit_state = self.hierarchy.fork();
+        self.hierarchy.warm_range(self.workload, step.measured);
+        self.pos_access = step.next_pos;
+        unit_state
+    }
+
     /// Reconcile region `i`: commit on a digest match, adopting a full
     /// speculation's end state and unit; otherwise — a miss, a light
     /// speculation, or one that faulted out (`None`) — warm and measure
@@ -269,9 +303,7 @@ impl<'a> SpecChain<'a> {
     fn reconcile(&mut self, i: u32, region: &Region, s: Option<Speculation>) -> RegionUnit {
         let SmartsRunner { timing, cost, .. } = self.runner;
         let workload = self.workload;
-        debug_assert_eq!(self.pos_access, self.positions[i as usize]);
-        let step = chain_step(cost, workload, region, self.pos_access, self.p, self.mult);
-        self.chained.push(step.seconds);
+        let step = self.step(i, region);
         let (committed, proxy_seconds, ahead) = match s {
             Some(s) => (
                 self.hierarchy.state_digest() == s.digest,
@@ -287,10 +319,7 @@ impl<'a> SpecChain<'a> {
             }
             _ => {
                 self.hierarchy.warm_range(workload, step.warm);
-                let driver = UnitDriver::new(workload, timing, cost);
-                let h = &mut self.hierarchy;
-                let mut source = |a: &MemAccess, now: u64| h.access_data(a.pc, a.line(), now);
-                driver.measure_region(region, &mut source)
+                UnitDriver::new(workload, timing, cost).measure_on(region, &mut self.hierarchy)
             }
         };
         self.pos_access = step.next_pos;
@@ -322,112 +351,23 @@ impl SamplingStrategy for SmartsRunner {
         "smarts"
     }
 
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
-        self.run_with_workers(workload, plan, self.workers)
-    }
-
-    /// SMARTS under the region scheduler: functional warming is the
-    /// **chained lane** — the hierarchy at a region's warming boundary
-    /// depends on every access before it, so the warm pass runs in plan
-    /// order on the seed lane — while the measure bodies (detailed
-    /// warming + measured region, each on a [`Hierarchy::fork`] of the
-    /// boundary state) fan out across workers.
-    ///
-    /// To keep the carried state exact, the seed lane *replays* each
-    /// measured span functionally after forking: `simulate_detailed`
-    /// issues precisely the data accesses `(pc, line, index)` of the
-    /// span through the shared access core, so the functional replay
-    /// leaves the chain hierarchy bit-identical to what the classic
-    /// sequential driver's in-place measurement left behind (the golden
-    /// SMARTS digests in `tests/golden_reports.rs`, blessed against that
-    /// driver, pin this). The replay is charged to the chained lane at
-    /// functional speed, face value — the honest price a region-parallel
-    /// SMARTS pays for decoupling.
-    ///
-    /// At one worker the fork and replay would be pure overhead, so the
-    /// sequential path measures in place on the chain hierarchy — with
-    /// the *same* charge structure, so the report stays byte-identical
-    /// to every parallel execution (asserted by `tests/determinism.rs`).
+    /// SMARTS in place at one worker, by fork and replay on several, or
+    /// through the speculative warm lane when
+    /// [`with_speculation`](SmartsRunner::with_speculation) set a proxy;
+    /// the report is the same bytes on every path.
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
     ) -> StrategyReport {
-        if let Some(proxy) = self.proxy {
-            return self.run_speculative_with_workers(workload, plan, proxy, workers);
-        }
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access: u64 = 0;
-
-        if workers <= 1 {
-            // In-place sequential path: identical access sequence, state
-            // evolution and cost charges as the decomposed path below —
-            // measuring on the chain mutates it exactly as the replay
-            // would (one shared access core) — minus the per-region
-            // hierarchy copy and the second traversal of the measured
-            // span. The replay seconds are still charged so the cost
-            // accounting does not depend on the worker count.
-            let mut chained = Vec::with_capacity(plan.regions.len());
-            let mut units = Vec::with_capacity(plan.regions.len());
-            for region in &plan.regions {
-                let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-                hierarchy.warm_range(workload, step.warm);
-                pos_access = step.next_pos;
-                chained.push(step.seconds);
-
-                let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-                let mut source =
-                    |a: &MemAccess, now: u64| hierarchy.access_data(a.pc, a.line(), now);
-                units.push(driver.measure_region(region, &mut source));
-            }
-            return reduce_units(workload, plan, self.name(), &chained, units).into();
-        }
-
-        let seed = move |_i: u32, region: &Region| {
-            // Functional warming: simulate every access up to the start
-            // of detailed warming, batched slice-at-a-time straight into
-            // the hierarchy, then fork the boundary state for the unit
-            // and replay the measured span so the next region's warm
-            // state matches the sequential driver exactly.
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-            hierarchy.warm_range(workload, step.warm);
-            let unit_state = hierarchy.fork();
-            hierarchy.warm_range(workload, step.measured);
-            pos_access = step.next_pos;
-            (unit_state, step.seconds)
-        };
-
-        let body = |_i: u32, region: &Region, (mut warm, chain_seconds): (Hierarchy, f64)| {
-            // Detailed warming + detailed region on the (fully warm)
-            // forked hierarchy.
-            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| warm.access_data(a.pc, a.line(), now);
-            (chain_seconds, driver.measure_region(region, &mut source))
-        };
-
-        let outputs = RegionScheduler::new(workers).run_seeded(&plan.regions, seed, body);
-        let (chained, units): (Vec<f64>, Vec<_>) = outputs.into_iter().unzip();
-        reduce_units(workload, plan, self.name(), &chained, units).into()
+        self.execute(workload, plan, workers, None).0
     }
 
-    /// SMARTS with per-unit panic isolation.
-    ///
-    /// Always takes the **fork-based seeded path** — even at one worker,
-    /// where the plain run measures in place on the chain hierarchy. An
-    /// in-place measurement mutates the carried state as it goes, so a
-    /// mid-flight fault would leave the chain unrecoverable; the fork
-    /// path hands each body its own [`Hierarchy::fork`], making bodies
-    /// retryable from a cloned seed and keeping the chain pristine. The
-    /// two paths charge identical costs by construction (see
-    /// [`run_with_workers`](SamplingStrategy::run_with_workers)), so a
-    /// clean isolated run is still bitwise identical to the plain run.
-    ///
-    /// With speculation enabled the run goes through
-    /// [`run_speculative_isolated_with_workers`](SmartsRunner::run_speculative_isolated_with_workers)
-    /// instead.
+    /// The same execution with per-unit panic isolation. Without
+    /// speculation it always forks and replays — even at one worker —
+    /// so that measure bodies retry from a cloned seed and the chain
+    /// stays pristine.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -435,48 +375,7 @@ impl SamplingStrategy for SmartsRunner {
         workers: usize,
         policy: &FaultPolicy,
     ) -> PartialReport {
-        if let Some(proxy) = self.proxy {
-            return self
-                .run_speculative_isolated_with_workers(workload, plan, proxy, workers, policy);
-        }
-        let p = workload.mem_period();
-        let mult = plan.config.work_multiplier();
-        let mut hierarchy = Hierarchy::new(&self.machine);
-        let mut pos_access: u64 = 0;
-
-        let seed = move |_i: u32, region: &Region| {
-            let step = chain_step(&self.cost, workload, region, pos_access, p, mult);
-            hierarchy.warm_range(workload, step.warm);
-            let unit_state = hierarchy.fork();
-            hierarchy.warm_range(workload, step.measured);
-            pos_access = step.next_pos;
-            (unit_state, step.seconds)
-        };
-
-        let body = |_i: u32, region: &Region, (mut warm, chain_seconds): (Hierarchy, f64)| {
-            let driver = UnitDriver::new(workload, &self.timing, &self.cost);
-            let mut source = |a: &MemAccess, now: u64| warm.access_data(a.pc, a.line(), now);
-            (chain_seconds, driver.measure_region(region, &mut source))
-        };
-
-        let (outputs, quarantined) =
-            RegionScheduler::new(workers).run_seeded_isolated(&plan.regions, policy, seed, body);
-        let mut chained = vec![0.0; outputs.len()];
-        let mut units = Vec::with_capacity(outputs.len());
-        for (i, o) in outputs.into_iter().enumerate() {
-            match o {
-                Some((c, u)) => {
-                    chained[i] = c;
-                    units.push(Some(u));
-                }
-                None => units.push(None),
-            }
-        }
-        let report = reduce_units_partial(workload, plan, self.name(), &chained, units);
-        PartialReport {
-            report,
-            quarantined,
-        }
+        self.execute(workload, plan, workers, Some(policy)).into()
     }
 
     fn internal_parallelism(&self) -> usize {
@@ -500,9 +399,9 @@ struct ChainStep {
     seconds: f64,
 }
 
-/// Compute one region's chain step. Both SMARTS paths (in-place
-/// sequential and fork-and-replay decomposed) take their boundaries and
-/// charges from this one function, which is what keeps their reports
+/// Compute one region's chain step. Every SMARTS schedule (in place,
+/// fork and replay, speculative) takes its boundaries and charges from
+/// this one function, which is what keeps their reports
 /// byte-identical by construction.
 fn chain_step(
     cost: &CostModel,
@@ -595,7 +494,10 @@ mod tests {
             ProxyStateSource::Poisoned,
         ] {
             for workers in [1usize, 4] {
-                let spec = runner.run_speculative_with_workers(&w, &plan, proxy, workers);
+                let spec = runner
+                    .clone()
+                    .with_speculation(proxy)
+                    .run_with_workers(&w, &plan, workers);
                 assert_eq!(
                     spec.report,
                     sequential.report,
@@ -611,12 +513,9 @@ mod tests {
         let w = spec_workload("hmmer", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
         let machine = MachineConfig::for_scale(Scale::tiny());
-        let spec = SmartsRunner::new(machine).run_speculative_with_workers(
-            &w,
-            &plan,
-            ProxyStateSource::StatModel,
-            4,
-        );
+        let spec = SmartsRunner::new(machine)
+            .with_speculation(ProxyStateSource::StatModel)
+            .run_with_workers(&w, &plan, 4);
         let extras = spec.extras::<SpeculationExtras>().expect("extras");
         assert!(
             extras.hit_rate() > 0.5,
@@ -632,12 +531,9 @@ mod tests {
         let w = spec_workload("mcf", Scale::tiny(), 1).unwrap();
         let plan = quick_plan();
         let machine = MachineConfig::for_scale(Scale::tiny());
-        let spec = SmartsRunner::new(machine).run_speculative_with_workers(
-            &w,
-            &plan,
-            ProxyStateSource::Poisoned,
-            4,
-        );
+        let spec = SmartsRunner::new(machine)
+            .with_speculation(ProxyStateSource::Poisoned)
+            .run_with_workers(&w, &plan, 4);
         let extras = spec.extras::<SpeculationExtras>().expect("extras");
         assert_eq!(extras.hits(), 0, "poison must never commit");
         let sequential = SmartsRunner::new(machine).run(&w, &plan);

@@ -30,7 +30,10 @@ use std::ops::{Deref, Range};
 /// Implementations must be deterministic pure functions of
 /// `(self, workload, plan)`: the batch executor runs strategies from
 /// worker threads in arbitrary order and asserts that results are
-/// byte-identical to serial execution.
+/// byte-identical to serial execution. An implementation must provide
+/// [`name`](SamplingStrategy::name) and
+/// [`run_with_workers`](SamplingStrategy::run_with_workers); every other
+/// method has a default built on them.
 ///
 /// # Example
 ///
@@ -65,26 +68,34 @@ pub trait SamplingStrategy: Send + Sync {
     /// returned report.
     fn name(&self) -> &str;
 
-    /// Run the full sampled simulation over `plan`'s regions.
-    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport;
+    /// Run the full sampled simulation over `plan`'s regions: provided
+    /// as [`run_with_workers`](SamplingStrategy::run_with_workers) at
+    /// the runner's own count
+    /// ([`internal_parallelism`](SamplingStrategy::internal_parallelism)).
+    /// Override it only to wrap the call (tracing, say), never to run
+    /// differently.
+    fn run(&self, workload: &dyn Workload, plan: &RegionPlan) -> StrategyReport {
+        self.run_with_workers(workload, plan, self.internal_parallelism())
+    }
 
     /// Run with an explicit region-scheduler worker count, overriding
-    /// whatever the runner was configured with.
+    /// whatever the runner was configured with. **Required**, since
+    /// [`run`](SamplingStrategy::run) defaults to it.
     ///
     /// The determinism contract makes this a pure scheduling knob: the
     /// returned report must be byte-identical for every `workers` value
-    /// (`tests/determinism.rs` asserts it for all five strategies).
-    /// Strategies that have not adopted the region scheduler fall back
-    /// to [`run`](SamplingStrategy::run) and ignore `workers`.
+    /// (`tests/determinism.rs` asserts it for all five strategies); a
+    /// single-threaded strategy ignores `workers`. The run is unguarded:
+    /// it traverses no fault-injection site and catches no panic, so a
+    /// harness guarding whole runs (the batch executor's isolated
+    /// matrix, the shard worker) strikes each cell exactly once
+    /// (`tests/fault_injection.rs` pins this).
     fn run_with_workers(
         &self,
         workload: &dyn Workload,
         plan: &RegionPlan,
         workers: usize,
-    ) -> StrategyReport {
-        let _ = workers;
-        self.run(workload, plan)
-    }
+    ) -> StrategyReport;
 
     /// Run with **panic isolation and deterministic retry**: unit
     /// faults are caught, retried within `policy`'s budget, and
@@ -99,12 +110,12 @@ pub trait SamplingStrategy: Send + Sync {
     /// never semantics (`tests/fault_injection.rs` pins this for all
     /// five strategies).
     ///
-    /// Scheduler-backed strategies override this with per-unit
-    /// isolation through the `RegionScheduler`'s `*_isolated` runners;
-    /// the default guards the whole run as a single unit (one retryable
-    /// fault domain — sound because strategies are pure functions of
-    /// their inputs). Strategy extras are not carried by partial
-    /// reports.
+    /// The built-in strategies run the same execution body as
+    /// [`run_with_workers`](SamplingStrategy::run_with_workers), with
+    /// the `RegionScheduler` lanes guarding each unit; the default
+    /// guards the whole run as a single unit (one retryable fault
+    /// domain — sound because strategies are pure functions of their
+    /// inputs). Strategy extras are not carried by partial reports.
     fn run_isolated(
         &self,
         workload: &dyn Workload,
@@ -119,14 +130,7 @@ pub trait SamplingStrategy: Send + Sync {
                 report,
                 quarantined: Vec::new(),
             },
-            Err(failure) => PartialReport {
-                report: SimulationReport {
-                    workload: workload.name().to_string(),
-                    strategy: self.name().to_string(),
-                    ..Default::default()
-                },
-                quarantined: vec![failure],
-            },
+            Err(failure) => PartialReport::whole_run_lost(workload, self.name(), failure),
         }
     }
 
@@ -197,6 +201,34 @@ impl PartialReport {
     /// The report, discarding the quarantine list.
     pub fn into_report(self) -> SimulationReport {
         self.report
+    }
+
+    /// A run whose one fault domain covering every region failed: an
+    /// empty report, quarantined behind `failure`.
+    pub(crate) fn whole_run_lost(
+        workload: &dyn Workload,
+        strategy: &str,
+        failure: UnitFailure,
+    ) -> Self {
+        PartialReport {
+            report: SimulationReport {
+                workload: workload.name().to_string(),
+                strategy: strategy.to_string(),
+                ..Default::default()
+            },
+            quarantined: vec![failure],
+        }
+    }
+}
+
+impl From<(StrategyReport, Vec<UnitFailure>)> for PartialReport {
+    /// A guarded execution's report (its extras dropped) and quarantine
+    /// list.
+    fn from((report, quarantined): (StrategyReport, Vec<UnitFailure>)) -> Self {
+        PartialReport {
+            report: report.into_report(),
+            quarantined,
+        }
     }
 }
 

@@ -576,6 +576,7 @@ impl Scheduler {
                                         j.spec.workload_name(cell),
                                         &j.plan,
                                         j.spec.strategy_name(cell),
+                                        &[],
                                         all,
                                     );
                                     let bytes = encode_cell(cell, &report);

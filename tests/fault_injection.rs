@@ -99,6 +99,41 @@ fn clean_isolated_runs_match_plain_runs_bitwise_at_every_worker_count() {
 }
 
 #[test]
+fn plain_runs_traverse_no_fault_site() {
+    let scale = Scale::tiny();
+    let machine = MachineConfig::for_scale(scale);
+    let plan = SamplingConfig::for_scale(scale).with_regions(4).plan();
+    let w = spec_workload("hmmer", scale, 42).unwrap();
+    let strategies = all_strategies(scale, machine);
+    // Unarmed references (plain runs need no guard to be clean).
+    let unarmed: Vec<SimulationReport> = strategies
+        .iter()
+        .map(|s| s.run_with_workers(&w, &plan, 1).into_report())
+        .collect();
+
+    // Every unit struck at both unit sites on every occurrence: a plain
+    // run that reached either site would unwind out of this test.
+    let _guard = fault::arm(
+        FaultPlan::new(2019)
+            .at(FaultSite::UnitEntry)
+            .at(FaultSite::ReconcilerCommit)
+            .strikes(u32::MAX)
+            .kinds(&[FaultKind::Panic]),
+    );
+    for (s, unarmed) in strategies.iter().zip(&unarmed) {
+        for workers in [1, 4] {
+            let armed = s.run_with_workers(&w, &plan, workers).into_report();
+            assert_eq!(
+                unarmed,
+                &armed,
+                "{}: an armed plan changed a plain run at {workers} workers",
+                s.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn faults_absorbed_by_retries_never_change_the_report() {
     let scale = Scale::tiny();
     let machine = MachineConfig::for_scale(scale);
